@@ -4,12 +4,10 @@
 
 namespace dco3d {
 
-StageMetrics measure_stage(const Netlist& netlist, const Placement3D& placement,
-                           const GCellGrid& grid, const TimingConfig& timing_cfg,
-                           const RouterConfig& router_cfg,
-                           const std::vector<double>* skew,
-                           RouteResult* route_out) {
-  RouteResult route = global_route(netlist, placement, grid, router_cfg);
+StageMetrics measure_routed(const Netlist& netlist, const Placement3D& placement,
+                            const RouteResult& route,
+                            const TimingConfig& timing_cfg,
+                            const std::vector<double>* skew) {
   const std::vector<double> detour =
       detour_factors(netlist, placement, route, /*overflow_penalty=*/0.03);
   const TimingResult t = run_sta(netlist, placement, timing_cfg, skew, &detour);
@@ -23,7 +21,6 @@ StageMetrics measure_stage(const Netlist& netlist, const Placement3D& placement,
   m.tns_ps = t.tns_ps;
   m.power_mw = t.total_mw;
   m.wirelength_um = route.wirelength;
-  if (route_out) *route_out = std::move(route);
   return m;
 }
 

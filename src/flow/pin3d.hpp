@@ -52,11 +52,11 @@ struct FlowResult {
 FlowResult run_pin3d_flow(const Netlist& design, const FlowConfig& cfg,
                           const PlacementOptimizer& optimizer = nullptr);
 
-/// Flow-level metric collection: route + STA on the current state.
-StageMetrics measure_stage(const Netlist& netlist, const Placement3D& placement,
-                           const GCellGrid& grid, const TimingConfig& timing_cfg,
-                           const RouterConfig& router_cfg,
-                           const std::vector<double>* skew = nullptr,
-                           RouteResult* route_out = nullptr);
+/// Flow-level metrics of a routed state: overflow and wirelength from
+/// `route`, timing and power from STA with the route's detour factors.
+StageMetrics measure_routed(const Netlist& netlist, const Placement3D& placement,
+                            const RouteResult& route,
+                            const TimingConfig& timing_cfg,
+                            const std::vector<double>* skew = nullptr);
 
 }  // namespace dco3d

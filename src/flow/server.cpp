@@ -753,6 +753,16 @@ void Server::conn_loop(int raw_fd) {
     }
     if (!resp.empty() && !util::send_line(raw_fd, resp)) break;
   }
+  if (reader.too_long())
+    util::send_line(raw_fd,
+                    JsonWriter()
+                        .field("ok", false)
+                        .field("status", "invalid_argument")
+                        .field("message",
+                               "request line exceeds " +
+                                   std::to_string(util::LineReader::kMaxLineBytes) +
+                                   " bytes without a newline")
+                        .done());
   std::lock_guard<std::mutex> lock(conns_mu_);
   ::close(raw_fd);
   conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), raw_fd));

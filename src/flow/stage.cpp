@@ -159,8 +159,9 @@ std::vector<Stage> make_pin3d_stages() {
     ensure_grid(c);
     Placement3D legal = c.placement;
     legalize_all(c.netlist, legal, c.cfg.place_params);
-    c.res.after_place = measure_stage(c.netlist, legal, c.res.grid,
-                                      c.cfg.timing, c.cfg.router);
+    const RouteResult route =
+        global_route(c.netlist, legal, c.res.grid, c.cfg.router);
+    c.res.after_place = measure_routed(c.netlist, legal, route, c.cfg.timing);
     publish_metrics(c, c.res.after_place);
   }, [](const FlowContext& c) {
     return params_key(c) + timing_key(c) + router_key(c) + grid_key(c);
@@ -235,12 +236,15 @@ std::vector<Stage> make_pin3d_stages() {
   });
 
   s.emplace_back("final-metrics", [](FlowContext& c) {
-    // Final view: re-route (sizing changed loads negligibly for the router,
-    // but detours and overflow stand) and re-time with the final skew.
-    ensure_grid(c);
-    c.res.signoff = measure_stage(c.netlist, c.placement, c.res.grid,
-                                  c.cfg.timing, c.cfg.router, &c.skew,
-                                  &c.res.final_route);
+    // Final view: the route stage's result re-timed with the final skew.
+    // Signoff changes only std-cell masters and skew, and the router reads
+    // neither, so a re-route would reproduce c.route bit for bit.
+    if (!c.route_valid)
+      throw StatusError(Status::invalid_argument(
+          "final-metrics stage requires the route stage's result"));
+    c.res.final_route = c.route;
+    c.res.signoff = measure_routed(c.netlist, c.placement, c.route,
+                                   c.cfg.timing, &c.skew);
     c.res.placement = c.placement;
     publish_metrics(c, c.res.signoff);
   }, [](const FlowContext& c) {

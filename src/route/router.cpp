@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 namespace dco3d {
 
@@ -60,17 +59,39 @@ struct NetRoute {
   std::vector<RoutedEdge> edges;
 };
 
+/// Cost of one more track on an edge: 1 + history, plus the present-overuse
+/// penalty once the edge is full.
+inline double edge_cost_of(double cap, double use, double hist,
+                           double present_penalty) {
+  double c = 1.0 + hist;
+  if (use >= cap) c += present_penalty * (use - cap + 1.0);
+  return c;
+}
+
+/// A* frontier entry: f = g + Manhattan tile distance to the target.
+struct HeapEntry {
+  double f, g;
+  std::int32_t tile;
+};
+
 struct Ctx {
   const RouterConfig& cfg;
   RouteGrid& rg;
 
+  // Maze scratch, sized to the full grid on first use and reused by every
+  // maze search of this global_route call. A tile's label is live only when
+  // its stamp equals the current epoch, so a search never zero-fills.
+  std::vector<double> dist;
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t epoch = 0;
+  std::vector<HeapEntry> heap;
+
   double edge_cost(int die, bool horizontal, std::size_t idx) const {
-    const double cap = horizontal ? rg.h_cap[die][idx] : rg.v_cap[die][idx];
-    const double use = horizontal ? rg.h_use[die][idx] : rg.v_use[die][idx];
-    const double hist = horizontal ? rg.h_hist[die][idx] : rg.v_hist[die][idx];
-    double c = 1.0 + hist;
-    if (use >= cap) c += cfg.present_penalty * (use - cap + 1.0);
-    return c;
+    return horizontal
+               ? edge_cost_of(rg.h_cap[die][idx], rg.h_use[die][idx],
+                              rg.h_hist[die][idx], cfg.present_penalty)
+               : edge_cost_of(rg.v_cap[die][idx], rg.v_use[die][idx],
+                              rg.v_hist[die][idx], cfg.present_penalty);
   }
 
   void add_edge(NetRoute& route, int die, bool horizontal, std::size_t idx) {
@@ -118,62 +139,105 @@ struct Ctx {
     }
   }
 
-  /// Dijkstra maze route within the bbox of (a, b) + margin.
+  /// Minimum-cost maze route within the bbox of (a, b) + margin: A* that
+  /// reproduces Dijkstra's path exactly (see router.hpp).
   void route_maze(NetRoute& route, int die, TilePt a, TilePt b) {
-    const int nx = rg.nx(), ny = rg.ny();
+    const int nx = rg.nx();
     const int m0 = std::max(0, std::min(a.m, b.m) - cfg.maze_margin);
     const int m1 = std::min(nx - 1, std::max(a.m, b.m) + cfg.maze_margin);
     const int n0 = std::max(0, std::min(a.n, b.n) - cfg.maze_margin);
-    const int n1 = std::min(ny - 1, std::max(a.n, b.n) + cfg.maze_margin);
-    const int w = m1 - m0 + 1, h = n1 - n0 + 1;
-    auto lid = [&](int m, int n) { return (n - n0) * w + (m - m0); };
+    const int n1 = std::min(rg.ny() - 1, std::max(a.n, b.n) + cfg.maze_margin);
+    const double* hcap = rg.h_cap[die].data();
+    const double* huse = rg.h_use[die].data();
+    const double* hhist = rg.h_hist[die].data();
+    const double* vcap = rg.v_cap[die].data();
+    const double* vuse = rg.v_use[die].data();
+    const double* vhist = rg.v_hist[die].data();
+    const double penalty = cfg.present_penalty;
+    const auto h_cost = [&](int m, int n) {  // edge (m,n) -> (m+1,n)
+      const std::size_t i = rg.h_edge_index(m, n);
+      return edge_cost_of(hcap[i], huse[i], hhist[i], penalty);
+    };
+    const auto v_cost = [&](int m, int n) {  // edge (m,n) -> (m,n+1)
+      const std::size_t i = rg.v_edge_index(m, n);
+      return edge_cost_of(vcap[i], vuse[i], vhist[i], penalty);
+    };
 
+    if (dist.empty()) {
+      dist.resize(static_cast<std::size_t>(rg.gcells().num_tiles()));
+      stamp.assign(dist.size(), 0);
+    }
+    if (++epoch == 0) {  // wrapped: no stale stamp may alias the new epoch
+      std::fill(stamp.begin(), stamp.end(), 0u);
+      epoch = 1;
+    }
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<double> dist(static_cast<std::size_t>(w) * h, kInf);
-    std::vector<std::int32_t> prev(static_cast<std::size_t>(w) * h, -1);
-    using QE = std::pair<double, std::int32_t>;
-    std::priority_queue<QE, std::vector<QE>, std::greater<>> q;
-    dist[static_cast<std::size_t>(lid(a.m, a.n))] = 0.0;
-    q.push({0.0, lid(a.m, a.n)});
-    const std::int32_t target = lid(b.m, b.n);
+    const auto label = [&](std::int32_t t) {
+      const auto i = static_cast<std::size_t>(t);
+      return stamp[i] == epoch ? dist[i] : kInf;
+    };
+    const std::int32_t source = a.n * nx + a.m;
+    const std::int32_t target = b.n * nx + b.m;
+    const auto cmp = [](const HeapEntry& x, const HeapEntry& y) {
+      return x.f > y.f;
+    };
+    const auto relax = [&](std::int32_t t, int m, int n, double g) {
+      const auto i = static_cast<std::size_t>(t);
+      if (stamp[i] == epoch && !(g < dist[i])) return;
+      stamp[i] = epoch;
+      dist[i] = g;
+      heap.push_back({g + (std::abs(m - b.m) + std::abs(n - b.n)), g, t});
+      std::push_heap(heap.begin(), heap.end(), cmp);
+    };
 
-    while (!q.empty()) {
-      auto [d, u] = q.top();
-      q.pop();
-      if (d > dist[static_cast<std::size_t>(u)]) continue;
-      if (u == target) break;
-      const int um = m0 + (u % w), un = n0 + (u / w);
-      auto relax = [&](int vm, int vn, double ec) {
-        const std::int32_t v = lid(vm, vn);
-        if (d + ec < dist[static_cast<std::size_t>(v)]) {
-          dist[static_cast<std::size_t>(v)] = d + ec;
-          prev[static_cast<std::size_t>(v)] = u;
-          q.push({d + ec, v});
+    // Search past the target's first pop until no entry can still lie on a
+    // minimum-cost path: every such tile then holds Dijkstra's exact label.
+    // The slack covers rounding in f = g + h.
+    heap.clear();
+    relax(source, a.m, a.n, 0.0);
+    while (!heap.empty()) {
+      const double limit = label(target) * (1.0 + 1e-9) + 1e-9;
+      if (heap.front().f > limit) break;
+      std::pop_heap(heap.begin(), heap.end(), cmp);
+      const HeapEntry e = heap.back();
+      heap.pop_back();
+      if (e.g > dist[static_cast<std::size_t>(e.tile)]) continue;  // stale
+      const int um = e.tile % nx, un = e.tile / nx;
+      if (um > m0) relax(e.tile - 1, um - 1, un, e.g + h_cost(um - 1, un));
+      if (um < m1) relax(e.tile + 1, um + 1, un, e.g + h_cost(um, un));
+      if (un > n0) relax(e.tile - nx, um, un - 1, e.g + v_cost(um, un - 1));
+      if (un < n1) relax(e.tile + nx, um, un + 1, e.g + v_cost(um, un));
+    }
+
+    // Walk back from the target. Dijkstra popped tiles in (dist, id) order and
+    // replaced prev only on a strict improvement, so its prev[v] is the
+    // smallest (dist[u], id) neighbour u with dist[u] + cost(u,v) == dist[v];
+    // pick exactly that one, with the same double add. Its window ids and
+    // these grid ids are both row-major, so they order tiles alike.
+    std::int32_t v = target;
+    while (v != source) {
+      const int vm = v % nx, vn = v / nx;
+      const double dv = dist[static_cast<std::size_t>(v)];
+      std::int32_t best = -1;
+      double best_d = kInf;
+      const auto consider = [&](std::int32_t u, double ec) {
+        const double du = label(u);
+        if (du + ec == dv && (du < best_d || (du == best_d && u < best))) {
+          best = u;
+          best_d = du;
         }
       };
-      if (um > m0) relax(um - 1, un, edge_cost(die, true, rg.h_edge_index(um - 1, un)));
-      if (um < m1) relax(um + 1, un, edge_cost(die, true, rg.h_edge_index(um, un)));
-      if (un > n0) relax(um, un - 1, edge_cost(die, false, rg.v_edge_index(um, un - 1)));
-      if (un < n1) relax(um, un + 1, edge_cost(die, false, rg.v_edge_index(um, un)));
-    }
-
-    if (prev[static_cast<std::size_t>(target)] < 0 && target != lid(a.m, a.n)) {
-      // Unreachable within the window (should not happen on a full grid);
-      // fall back to an L route.
-      route_l(route, die, a, b);
-      return;
-    }
-    // Walk back and commit edges.
-    std::int32_t v = target;
-    while (v != lid(a.m, a.n)) {
-      const std::int32_t u = prev[static_cast<std::size_t>(v)];
-      const int um = m0 + (u % w), un = n0 + (u / w);
-      const int vm = m0 + (v % w), vn = n0 + (v / w);
+      if (vm > m0) consider(v - 1, h_cost(vm - 1, vn));
+      if (vm < m1) consider(v + 1, h_cost(vm, vn));
+      if (vn > n0) consider(v - nx, v_cost(vm, vn - 1));
+      if (vn < n1) consider(v + nx, v_cost(vm, vn));
+      assert(best >= 0);
+      const int um = best % nx, un = best / nx;
       if (un == vn)
         add_edge(route, die, true, rg.h_edge_index(std::min(um, vm), un));
       else
         add_edge(route, die, false, rg.v_edge_index(um, std::min(un, vn)));
-      v = u;
+      v = best;
     }
   }
 };

@@ -11,9 +11,17 @@
 // multiple tiers get a via GCell at the pin median that becomes a terminal
 // on every tier in the net's span — a via stack of (max tier - min tier)
 // hops. Initial routing uses best-of-two L-shapes; negotiated
-// rip-up-and-reroute (history-cost Dijkstra) then resolves overflow for a
-// configurable number of rounds — exactly the classical NCTU/NTHU-style
+// rip-up-and-reroute (history-cost maze routing) then resolves overflow for
+// a configurable number of rounds — exactly the classical NCTU/NTHU-style
 // global routing loop.
+//
+// The maze search is A* with the Manhattan tile distance as its heuristic,
+// which is consistent because every edge costs at least 1. It returns the
+// same path as a plain Dijkstra search, bit for bit: it keeps popping until
+// no entry can still lie on a minimum-cost path, so those tiles hold
+// Dijkstra's exact labels. It then rebuilds the path backward with
+// Dijkstra's tie-break, the smallest (label, window id) predecessor.
+// docs/algorithms.md gives the argument.
 
 #include <cstdint>
 #include <vector>

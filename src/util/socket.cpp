@@ -116,12 +116,19 @@ bool send_line(int fd, std::string_view line) {
 }
 
 bool LineReader::read_line(std::string& out) {
-  for (;;) {
-    const std::size_t nl = buf_.find('\n');
+  while (!too_long_) {
+    const std::size_t nl = buf_.find('\n', scanned_);
     if (nl != std::string::npos) {
       out.assign(buf_, 0, nl);
       buf_.erase(0, nl + 1);
+      scanned_ = 0;
       return true;
+    }
+    scanned_ = buf_.size();
+    if (buf_.size() > kMaxLineBytes) {
+      too_long_ = true;
+      std::string().swap(buf_);
+      break;
     }
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
@@ -132,6 +139,7 @@ bool LineReader::read_line(std::string& out) {
     if (n < 0 && errno == EINTR) continue;
     return false;  // EOF, reset, or recv timeout
   }
+  return false;
 }
 
 }  // namespace dco3d::util

@@ -5,6 +5,7 @@
 // POSIX-only (the project targets linux); failures surface as StatusError —
 // kUnavailable when nothing is listening (retriable), kIoError otherwise.
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -64,16 +65,23 @@ bool send_all(int fd, std::string_view data);
 bool send_line(int fd, std::string_view line);
 
 /// Buffered blocking reader returning one '\n'-terminated line at a time
-/// (terminator stripped). read_line returns false on EOF, peer reset, or
-/// recv timeout.
+/// (terminator stripped). read_line returns false on EOF, peer reset, recv
+/// timeout, or a line longer than kMaxLineBytes: the reader then stops
+/// buffering, too_long() reports the protocol error, and every later call
+/// returns false.
 class LineReader {
  public:
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   explicit LineReader(int fd) : fd_(fd) {}
   bool read_line(std::string& out);
+  bool too_long() const { return too_long_; }
 
  private:
   int fd_;
   std::string buf_;
+  std::size_t scanned_ = 0;  // prefix of buf_ known to hold no '\n'
+  bool too_long_ = false;
 };
 
 }  // namespace dco3d::util

@@ -85,6 +85,10 @@ struct NamedUnary {
   double scale;  // input magnitude
 };
 
+// Without this, gtest prints the raw bytes of the struct, which include
+// pointers, so the listed test names change from run to run under ASLR.
+void PrintTo(const NamedUnary& u, std::ostream* os) { *os << u.name; }
+
 class UnaryGradTest : public ::testing::TestWithParam<NamedUnary> {};
 
 TEST_P(UnaryGradTest, MatchesNumericalGradient) {

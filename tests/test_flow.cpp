@@ -256,8 +256,8 @@ TEST(MeasureStage, ConsistentWithRouteAndSta) {
   const GCellGrid grid(pl.outline, 16, 16);
   TimingConfig tcfg;
   RouterConfig rcfg;
-  RouteResult route;
-  const StageMetrics m = measure_stage(design, pl, grid, tcfg, rcfg, nullptr, &route);
+  const RouteResult route = global_route(design, pl, grid, rcfg);
+  const StageMetrics m = measure_routed(design, pl, route, tcfg);
   EXPECT_DOUBLE_EQ(m.overflow, route.total_overflow);
   EXPECT_DOUBLE_EQ(m.wirelength_um, route.wirelength);
   EXPECT_DOUBLE_EQ(m.h_overflow + m.v_overflow, m.overflow);

@@ -11,6 +11,7 @@
 #include "flow/pin3d.hpp"
 #include "flow/signoff.hpp"
 #include "flow/stage.hpp"
+#include "netlist/generators.hpp"
 #include "place/legalize.hpp"
 #include "route/router.hpp"
 #include "test_helpers.hpp"
@@ -36,8 +37,9 @@ FlowResult reference_flow(const Netlist& design, const FlowConfig& cfg,
   {
     Placement3D legal = placement;
     legalize_all(netlist, legal, cfg.place_params);
-    res.after_place =
-        measure_stage(netlist, legal, res.grid, cfg.timing, cfg.router);
+    res.after_place = measure_routed(
+        netlist, legal, global_route(netlist, legal, res.grid, cfg.router),
+        cfg.timing);
   }
 
   res.cts = run_cts(netlist, placement, cfg.cts);
@@ -70,8 +72,11 @@ FlowResult reference_flow(const Netlist& design, const FlowConfig& cfg,
   res.signoff_detail =
       run_signoff(netlist, placement, route, cfg.timing, skew, so);
 
-  res.signoff = measure_stage(netlist, placement, res.grid, cfg.timing,
-                              cfg.router, &skew, &res.final_route);
+  // The monolith re-routed for the final view; the pipeline reuses the route
+  // stage's result, which must match this re-route bit for bit.
+  res.final_route = global_route(netlist, placement, res.grid, cfg.router);
+  res.signoff =
+      measure_routed(netlist, placement, res.final_route, cfg.timing, &skew);
   res.placement = std::move(placement);
   return res;
 }
@@ -117,16 +122,17 @@ void expect_timing_eq(const TimingResult& a, const TimingResult& b) {
 }
 
 void expect_route_eq(const RouteResult& a, const RouteResult& b) {
+  EXPECT_EQ(a.num_tiers, b.num_tiers);
   EXPECT_EQ(a.total_overflow, b.total_overflow);
   EXPECT_EQ(a.h_overflow, b.h_overflow);
   EXPECT_EQ(a.v_overflow, b.v_overflow);
+  EXPECT_EQ(a.tier_overflow, b.tier_overflow);
+  EXPECT_EQ(a.vias_per_boundary, b.vias_per_boundary);
   EXPECT_EQ(a.ovf_gcell_pct, b.ovf_gcell_pct);
   EXPECT_EQ(a.wirelength, b.wirelength);
   EXPECT_EQ(a.num_3d_vias, b.num_3d_vias);
-  for (int die = 0; die < 2; ++die) {
-    EXPECT_EQ(a.congestion[die], b.congestion[die]);
-    EXPECT_EQ(a.usage[die], b.usage[die]);
-  }
+  EXPECT_TRUE(a.congestion == b.congestion);
+  EXPECT_TRUE(a.usage == b.usage);
   EXPECT_EQ(a.net_routed_wl, b.net_routed_wl);
   EXPECT_EQ(a.net_overflow_crossings, b.net_overflow_crossings);
 }
@@ -291,6 +297,59 @@ TEST(Pipeline, TraceRecordsEveryStageInOrder) {
   };
   EXPECT_GT(metric(trace[2], "wirelength_um"), 0.0);
   EXPECT_GT(metric(trace[5], "wirelength_um"), 0.0);
+}
+
+// final-metrics reuses the route stage's RouteResult instead of re-routing.
+// That holds only while signoff leaves everything the router reads alone:
+// re-routing the post-signoff netlist and placement must reproduce the route
+// stage's result in every field, for every design family and stacking
+// scenario, at two and three tiers, with rip-up-and-reroute active.
+TEST(Pipeline, SignoffLeavesTheRouteUnchanged) {
+  const DesignKind kinds[] = {DesignKind::kDma,      DesignKind::kAes,
+                              DesignKind::kEcg,      DesignKind::kLdpc,
+                              DesignKind::kVga,      DesignKind::kRocket,
+                              DesignKind::kMemLogic, DesignKind::kMacroHeavy};
+  int resized = 0;
+  for (DesignKind kind : kinds) {
+    const Netlist design = generate_design(spec_for(kind, 0.005));
+    for (int tiers : {2, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << design_name(kind) << " tiers=" << tiers);
+      FlowConfig cfg = small_cfg();
+      cfg.num_tiers = tiers;
+      cfg.router.h_capacity = cfg.router.v_capacity = 5.0;
+      cfg.signoff.enable_low_power_recovery = tiers == 3;
+      cfg.signoff.enable_useful_skew = tiers == 3;
+      PipelineOptions opts;
+      opts.stop_after = "signoff";
+      FlowContext ctx = make_flow_context(design, cfg);
+      pin3d_pipeline().run(ctx, opts);
+      ASSERT_TRUE(ctx.route_valid);
+      resized += ctx.res.signoff_detail.upsized +
+                 ctx.res.signoff_detail.downsized;
+
+      const RouteResult rerouted =
+          global_route(ctx.netlist, ctx.placement, ctx.res.grid, cfg.router);
+      EXPECT_GT(rerouted.total_overflow + rerouted.wirelength, 0.0);
+      expect_route_eq(rerouted, ctx.route);
+      pin3d_stage("final-metrics").run(ctx);
+      expect_route_eq(ctx.res.final_route, rerouted);
+    }
+  }
+  EXPECT_GT(resized, 0) << "signoff must have changed some masters";
+}
+
+TEST(Pipeline, FinalMetricsWithoutRouteIsInvalidArgument) {
+  const Netlist design = testing::tiny_design(120);
+  FlowContext ctx = make_flow_context(design, small_cfg());
+  PipelineOptions opts;
+  opts.start_at = "final-metrics";
+  try {
+    pin3d_pipeline().run(ctx, opts);
+    FAIL() << "expected StatusError";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(Pipeline, CacheKeyReactsToConfigAndDesign) {

@@ -3,6 +3,7 @@
 // small-design factories.
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "netlist/netlist.hpp"
 #include "nn/autograd.hpp"
 #include "nn/ops.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace dco3d::testing {
@@ -63,6 +65,23 @@ inline nn::Var random_leaf(nn::Shape shape, Rng& rng, double scale = 1.0) {
   for (std::int64_t i = 0; i < t.numel(); ++i)
     t[i] = static_cast<float>(rng.normal(0.0, scale));
   return nn::make_leaf(std::move(t), /*requires_grad=*/true);
+}
+
+/// Restores the worker-pool size on scope exit so a test that sweeps thread
+/// counts cannot leak its last setting into the rest of the suite.
+struct ThreadGuard {
+  int saved = util::num_threads();
+  ~ThreadGuard() { util::set_num_threads(saved); }
+};
+
+/// FNV-1a over raw bytes, for golden hashes of results.
+inline std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= b[i];
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 /// A tiny but fully-featured design for unit tests.

@@ -7,6 +7,7 @@
 #include "core/dco.hpp"
 #include "core/trainer.hpp"
 #include "flow/pin3d.hpp"
+#include "place/legalize.hpp"
 #include "test_helpers.hpp"
 #include "util/stats.hpp"
 
@@ -192,6 +193,75 @@ TEST_F(DcoPipeline, LossTraceRecordsAllTerms) {
                     dcfg.gamma_cut * it.cut + dcfg.delta_cong * it.cong,
                 1e-2 * std::max(1.0, it.total));
   }
+}
+
+// ---------------------------------------------------------------------------
+// DCO's commit contract, checked from outside run_dco: candidates are gated by
+// a trial route (CTS on a netlist copy, legalization, global route), so a
+// placement DCO commits must never route worse than its input, and a run that
+// reports no improvement must hand the input back untouched.
+
+/// Independent re-score with the same public calls as DCO's trial route.
+double trial_route_score(const Netlist& netlist, const Placement3D& pl,
+                         const DcoConfig& cfg) {
+  Netlist work = netlist;
+  Placement3D legal = pl;
+  run_cts(work, legal);
+  legalize_all(work, legal, cfg.legalize_params);
+  const GCellGrid grid(pl.outline, cfg.grid_nx, cfg.grid_ny);
+  const RouteResult r = global_route(work, legal, grid, cfg.router);
+  return r.total_overflow + 1e-5 * r.wirelength;
+}
+
+TEST(DcoContract, CommitNeverRoutesWorseThanInput) {
+  DesignSpec spec = spec_for(DesignKind::kLdpc, 0.008);
+  spec.seed = 21;
+  const Netlist design = generate_design(spec);
+  const Placement3D input =
+      place_pseudo3d(design, PlacementParams{}, 5, /*legalized=*/false);
+
+  // Untrained predictor with a fixed init: the gradient steps still move
+  // cells, and the trial route alone decides what is committed.
+  Predictor pred;
+  Rng rng(99);
+  pred.model = std::make_shared<nn::SiameseUNet>(nn::UNetConfig{}, rng);
+  pred.feature_scale = nn::Tensor({7});
+  for (int i = 0; i < 7; ++i) pred.feature_scale[i] = 1.0f;
+
+  DcoConfig cfg;
+  cfg.grid_nx = cfg.grid_ny = 16;
+  cfg.max_iter = 6;
+  cfg.eval_every = 2;
+  cfg.restarts = 1;
+  cfg.select_by_route = true;
+  // Tight capacities: the trial routes overflow, so rip-up-and-reroute runs
+  // the maze router on every candidate.
+  cfg.router.h_capacity = 3.0;
+  cfg.router.v_capacity = 3.0;
+  const double input_score = trial_route_score(design, input, cfg);
+  ASSERT_GT(input_score, 1.0) << "router must be congested";
+
+  int improved = 0;
+  for (std::uint64_t seed : {17, 18, 19, 20}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    cfg.seed = seed;
+    const DcoResult r = run_dco(design, input, pred, TimingConfig{}, cfg);
+    EXPECT_EQ(r.initial_score, input_score);
+    const double committed = trial_route_score(design, r.placement, cfg);
+    EXPECT_LE(committed, input_score);
+    EXPECT_EQ(committed, r.best_loss);
+    if (r.improved) {
+      ++improved;
+      EXPECT_LT(committed, input_score);
+    } else {
+      EXPECT_EQ(r.placement.xy, input.xy);
+      EXPECT_EQ(r.placement.tier, input.tier);
+      EXPECT_EQ(r.cells_moved_tier, 0u);
+    }
+  }
+  // The seeds cover both branches of the contract.
+  EXPECT_GT(improved, 0);
+  EXPECT_LT(improved, 4);
 }
 
 }  // namespace

@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "netlist/generators.hpp"
 #include "place/placer3d.hpp"
 #include "route/router.hpp"
 #include "test_helpers.hpp"
 
 namespace dco3d {
 namespace {
+
+using testing::fnv1a;
+using testing::ThreadGuard;
 
 /// Two cells, one net, positions configurable.
 struct TwoCellFixture {
@@ -204,6 +210,71 @@ TEST(Router, MultiPinNetSpansAllPins) {
   const RouteResult r = global_route(nl, pl, grid);
   // MST connects 3 corners: two branches of 7 edges each, 2um pitch.
   EXPECT_NEAR(r.wirelength, 2 * 7 * 2.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Congested-router golden: capacities low enough that rip-up-and-reroute
+// runs the maze router on every case, including fractional capacities under
+// macro blockage (non-integer costs, many equal-cost ties). Values recorded
+// from the Dijkstra maze router; any change to the maze search's labels or
+// tie-break fails these.
+
+/// Hash of the per-net routed lengths and every die's congestion and usage
+/// maps.
+std::uint64_t route_hash(const RouteResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  h = fnv1a(h, r.net_routed_wl.data(), r.net_routed_wl.size() * sizeof(double));
+  for (const auto& m : r.congestion)
+    h = fnv1a(h, m.data(), m.size() * sizeof(float));
+  for (const auto& m : r.usage) h = fnv1a(h, m.data(), m.size() * sizeof(float));
+  return h;
+}
+
+struct CongestedCase {
+  const char* name;
+  DesignKind kind;
+  int tiers;
+  double capacity;
+  double overflow;
+  double wirelength;
+  std::uint64_t hash;
+};
+
+TEST(RouterGolden, CongestedMazeRoutingMatchesRecordedResults) {
+  ThreadGuard guard;
+  const CongestedCase cases[] = {
+      {"dma_k2", DesignKind::kDma, 2, 3.0, 0x1.a6p+8, 0x1.4b9675ed0081ep+8,
+       0x55b8daf6557db906ull},
+      {"ldpc_k3", DesignKind::kLdpc, 3, 3.0, 0x1.04p+9, 0x1.7375314bd0f12p+8,
+       0xe7da0b5aa8ee097aull},
+      {"macroheavy_k2", DesignKind::kMacroHeavy, 2, 5.0, 0x1.4a6fffffffff5p+9,
+       0x1.02665addeea15p+9, 0xd15eb4edba6d6fb7ull},
+      {"dma_k2_mild", DesignKind::kDma, 2, 6.0, 0.0, 0x1.3cc7e4aca5af2p+8,
+       0xc44a10bb93e980abull},
+      {"macroheavy_k3", DesignKind::kMacroHeavy, 3, 8.0, 0x1.cf99999999982p+7,
+       0x1.06fbdf95c88b5p+9, 0x772368807e91e071ull},
+  };
+  for (const CongestedCase& c : cases) {
+    const Netlist nl = generate_design(spec_for(c.kind, 0.005));
+    RouterConfig cfg;
+    cfg.h_capacity = cfg.v_capacity = c.capacity;
+    RouterConfig no_rrr = cfg;
+    no_rrr.rrr_rounds = 0;
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(::testing::Message() << c.name << " threads=" << threads);
+      util::set_num_threads(threads);
+      const Placement3D pl =
+          place_pseudo3d(nl, PlacementParams{}, 3, true, c.tiers);
+      const GCellGrid grid(pl.outline, 16, 16);
+      const RouteResult r = global_route(nl, pl, grid, cfg);
+      const RouteResult l = global_route(nl, pl, grid, no_rrr);
+      // Maze routing ran: RRR changed the routes the L-shapes produced.
+      EXPECT_NE(route_hash(r), route_hash(l));
+      EXPECT_EQ(r.total_overflow, c.overflow);
+      EXPECT_EQ(r.wirelength, c.wirelength);
+      EXPECT_EQ(route_hash(r), c.hash);
+    }
+  }
 }
 
 TEST(Router, ScalesWithPlacementQuality) {

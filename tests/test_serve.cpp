@@ -318,6 +318,31 @@ TEST_F(ServeTest, MalformedAndUnknownRequestsAreRejectedNotFatal) {
   server.wait();
 }
 
+TEST_F(ServeTest, NoNewlineFloodGetsProtocolErrorAndClose) {
+  Server server(small_cfg(""));
+  server.start();
+  {
+    // One byte past the line cap and no newline: the server stops
+    // buffering, answers with an error and closes the connection.
+    util::Fd conn = util::connect_local(server.port());
+    const std::string flood(util::LineReader::kMaxLineBytes + 1, 'x');
+    EXPECT_TRUE(util::send_all(conn.get(), flood));
+    util::LineReader reader(conn.get());
+    std::string line;
+    ASSERT_TRUE(reader.read_line(line));
+    util::JsonObject err;
+    ASSERT_TRUE(util::parse_json_object(line, err).ok()) << line;
+    EXPECT_FALSE(util::json_bool(err, "ok", true));
+    EXPECT_EQ(util::json_str(err, "status", ""), "invalid_argument");
+    EXPECT_FALSE(reader.read_line(line)) << "connection must be closed";
+  }
+  // The server is still fine afterwards.
+  EXPECT_TRUE(util::json_bool(rpc(server.port(), R"({"cmd":"ping"})"), "ok",
+                              false));
+  server.request_drain();
+  server.wait();
+}
+
 TEST_F(ServeTest, SubmitWaitRunsJobToCompletion) {
   Server server(small_cfg("dco3d_serve_basic"));
   server.start();

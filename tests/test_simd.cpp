@@ -32,13 +32,8 @@
 namespace dco3d {
 namespace {
 
+using testing::ThreadGuard;
 using testing::tiny_design;
-
-/// Restores the worker-pool size on scope exit.
-struct ThreadGuard {
-  int saved = util::num_threads();
-  ~ThreadGuard() { util::set_num_threads(saved); }
-};
 
 /// Restores the active SIMD backend on scope exit so parity tests cannot
 /// leak a pinned backend into the rest of the suite.

@@ -33,23 +33,9 @@
 namespace dco3d {
 namespace {
 
+using testing::fnv1a;
+using testing::ThreadGuard;
 using testing::tiny_design;
-
-/// Restores the worker-pool size on scope exit so a test that sweeps thread
-/// counts cannot leak its last setting into the rest of the suite.
-struct ThreadGuard {
-  int saved = util::num_threads();
-  ~ThreadGuard() { util::set_num_threads(saved); }
-};
-
-std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
-  const auto* b = static_cast<const unsigned char*>(p);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::uint64_t placement_hash(const Placement3D& pl) {
   std::uint64_t h = 1469598103934665603ull;

@@ -25,7 +25,8 @@
 // default benchmark scale (docs/formats.md).
 //
 // `compare` closes the perf-trajectory loop: it re-measures the suite named
-// by the baseline file's schema and fails (exit 1) if any kernel's fresh p50
+// by the baseline file's schema, at the worker-pool size the baseline
+// records as "threads", and fails (exit 1) if any kernel's fresh p50
 // regresses more than --threshold (default 0.15 = 15%) over the committed
 // number, or if a committed kernel no longer exists (renames must regenerate
 // the baseline). Wired as the `bench_regression` ctest.
@@ -621,6 +622,16 @@ int run_compare(int argc, char** argv) {
                  baseline_path);
     return 2;
   }
+  // Measure at the baseline's worker-pool size so the gate compares like
+  // with like on a host whose default thread count differs from it.
+  const std::string threads_key = "\"threads\":";
+  const std::size_t tpos = base.find(threads_key);
+  if (tpos != std::string::npos) {
+    const int threads = std::atoi(base.c_str() + tpos + threads_key.size());
+    if (threads > 0) util::set_num_threads(threads);
+  }
+  std::printf("compare: measuring at threads=%d\n", util::num_threads());
+
   const std::string schema = scan_string(base, "schema");
   std::vector<Entry> committed, fresh;
   if (schema == "dco3d-bench-kernels-v2") {
