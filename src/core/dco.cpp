@@ -1,9 +1,15 @@
 #include "core/dco.hpp"
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include "core/features.hpp"
 #include "core/losses.hpp"
@@ -14,6 +20,7 @@
 #include "place/legalize.hpp"
 #include "nn/ops.hpp"
 #include "util/logging.hpp"
+#include "util/parallel.hpp"
 
 namespace dco3d {
 
@@ -59,6 +66,80 @@ double trial_route_score(const Netlist& netlist, const Placement3D& pl,
   return r.total_overflow + 1e-5 * r.wirelength;
 }
 
+/// A hard candidate on its way from the gradient loop to the scorer.
+struct Candidate {
+  int restart = -1;
+  int iter = -1;
+  Placement3D placement;
+};
+
+/// One-slot hand-off from the gradient loop (producer, on a helper thread) to
+/// the scorer (consumer, the calling thread). Candidates arrive in the order
+/// the serial loop would score them. Once the deadline has expired, a waiting
+/// candidate is scored only if the producer finishes without stopping on the
+/// deadline; a stop drops it unscored.
+class Handoff {
+ public:
+  /// Thrown into the producer after the consumer failed.
+  struct Cancelled {};
+
+  explicit Handoff(const Deadline& deadline) : deadline_(deadline) {}
+
+  /// Producer: wait for the slot, then fill it. Returns false (dropping the
+  /// candidate) if the deadline expires while waiting.
+  bool put(Candidate c) {
+    std::unique_lock<std::mutex> lk(mu_);
+    const auto free = [&] { return !slot_ || cancelled_; };
+    if (deadline_.unlimited())
+      cv_.wait(lk, free);
+    else if (!cv_.wait_until(lk, deadline_.expiry(), free))
+      return false;
+    if (cancelled_) throw Cancelled{};
+    slot_ = std::move(c);
+    cv_.notify_all();
+    return true;
+  }
+
+  /// Producer: throws Cancelled once the consumer has failed.
+  void check_cancelled() {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (cancelled_) throw Cancelled{};
+  }
+
+  /// Producer: no more candidates. `drop_pending` drops one not yet taken.
+  void close(bool drop_pending) {
+    std::lock_guard<std::mutex> lk(mu_);
+    closed_ = true;
+    if (drop_pending) slot_.reset();
+    cv_.notify_all();
+  }
+
+  /// Consumer: the next candidate, or nullopt once closed and drained.
+  std::optional<Candidate> take() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return closed_ || (slot_ && !deadline_.expired()); });
+    std::optional<Candidate> c = std::move(slot_);
+    slot_.reset();
+    cv_.notify_all();
+    return c;
+  }
+
+  /// Consumer: make the producer stop at its next hand-off or iteration.
+  void cancel() {
+    std::lock_guard<std::mutex> lk(mu_);
+    cancelled_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  const Deadline& deadline_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<Candidate> slot_;
+  bool closed_ = false;
+  bool cancelled_ = false;
+};
+
 }  // namespace
 
 DcoResult run_dco(const Netlist& netlist, const Placement3D& initial,
@@ -82,22 +163,55 @@ DcoResult run_dco(const Netlist& netlist, const Placement3D& initial,
     y0[static_cast<std::int64_t>(ci)] = static_cast<float>(initial.xy[ci].y);
   }
 
-  // Candidate selection state: score the initial placement first.
+  const Deadline deadline(cfg.deadline_ms);
+  FaultInjector& faults = FaultInjector::instance();
+
+  // Scorer side: the candidate selection state (best_score, improved,
+  // res.placement, res.best_iter, res.candidates) is touched only here. The
+  // input placement is scored first; every later candidate is scored in
+  // hand-off order under the strict improvement rule.
   auto score_of = [&](const Placement3D& pl) {
+    if (faults.should_fire(FaultSite::kDcoScoreStall))
+      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+          faults.param(FaultSite::kDcoScoreStall)));
+    if (faults.should_fire(FaultSite::kDcoScoreFail))
+      throw StatusError(
+          Status::internal("run_dco: injected candidate scoring failure"));
     return cfg.select_by_route
                ? trial_route_score(netlist, pl, grid, cfg)
                : hard_predicted_congestion(netlist, pl, grid, predictor);
   };
-  double best_score = score_of(initial);
-  const double initial_score = best_score;
-  if (!std::isfinite(initial_score))
-    log_warn("dco: input placement scores non-finite (corrupt predictor?); "
-             "candidate gating degraded");
+  double best_score = 0.0;
   bool improved = false;
+  auto score_input = [&] {
+    best_score = score_of(initial);
+    res.initial_score = best_score;
+    res.candidates.push_back({-1, -1, best_score});
+    if (!std::isfinite(best_score))
+      log_warn("dco: input placement scores non-finite (corrupt predictor?); "
+               "candidate gating degraded");
+  };
+  auto score_candidate = [&](Candidate c) {
+    const double score = score_of(c.placement);
+    res.candidates.push_back({c.restart, c.iter, score});
+    if (!std::isfinite(score)) {
+      log_warn("dco: candidate at iter ", c.iter,
+               " scored non-finite; not considered");
+      return;
+    }
+    if (score < best_score - 1e-6) {
+      best_score = score;
+      res.best_iter = c.iter;
+      res.placement = std::move(c.placement);
+      improved = true;
+    }
+  };
 
-  const Deadline deadline(cfg.deadline_ms);
+  // Optimizer side: res.trace and res.guard are touched only here. With a
+  // hand-off, candidates go to the scorer on the calling thread; without
+  // one they are scored inline, in the same order.
+  Handoff* handoff = nullptr;
   GuardStats& gs = res.guard;
-  FaultInjector& faults = FaultInjector::instance();
 
   // Outcome of one optimization attempt (one spreader weight init). A
   // diverged attempt never touches res.placement — the last committed
@@ -128,6 +242,8 @@ DcoResult run_dco(const Netlist& netlist, const Placement3D& initial,
     double best_loss_seen = std::numeric_limits<double>::infinity();
     int stall = 0;
 
+    // Hands the hard assignment of `out` to the scorer. Returns false if the
+    // deadline expired while waiting for the hand-off slot.
     auto consider = [&](const SpreaderOutput& out, int iter) {
       // A candidate with non-finite coordinates or score can never replace
       // the committed one; the input placement remains the floor.
@@ -139,22 +255,26 @@ DcoResult run_dco(const Netlist& netlist, const Placement3D& initial,
           !tier_finite) {
         log_warn("dco: candidate at iter ", iter,
                  " has non-finite coordinates; not considered");
-        return;
+        return true;
       }
-      Placement3D cand = initial;
-      spreader.commit(out, cand);
-      const double score = score_of(cand);
-      if (!std::isfinite(score)) {
-        log_warn("dco: candidate at iter ", iter,
-                 " scored non-finite; not considered");
-        return;
+      Candidate cand{restart, iter, initial};
+      spreader.commit(out, cand.placement);
+      if (!handoff) {
+        score_candidate(std::move(cand));
+        return true;
       }
-      if (score < best_score - 1e-6) {
-        best_score = score;
-        res.best_iter = iter;
-        res.placement = std::move(cand);
-        improved = true;
-      }
+      return handoff->put(std::move(cand));
+    };
+
+    auto stop_on_deadline = [&](int iter) {
+      gs.deadline_hit = true;
+      if (cfg.guard.strict)
+        throw StatusError(Status::deadline_exceeded(
+            "run_dco: deadline of " + std::to_string(cfg.deadline_ms) +
+            " ms exceeded at restart " + std::to_string(restart)));
+      log_warn("dco: deadline (", cfg.deadline_ms, " ms) hit at restart ",
+               restart, " iter ", iter, "; committing best-so-far");
+      return Attempt::kDeadline;
     };
 
     // Bounded backoff: restore the last weights that produced a finite loss
@@ -174,16 +294,8 @@ DcoResult run_dco(const Netlist& netlist, const Placement3D& initial,
     };
 
     for (int iter = 0; iter < cfg.max_iter; ++iter) {
-      if (deadline.expired()) {
-        gs.deadline_hit = true;
-        if (cfg.guard.strict)
-          throw StatusError(Status::deadline_exceeded(
-              "run_dco: deadline of " + std::to_string(cfg.deadline_ms) +
-              " ms exceeded at restart " + std::to_string(restart)));
-        log_warn("dco: deadline (", cfg.deadline_ms, " ms) hit at restart ",
-                 restart, " iter ", iter, "; committing best-so-far");
-        return Attempt::kDeadline;
-      }
+      if (handoff) handoff->check_cancelled();
+      if (deadline.expired()) return stop_on_deadline(iter);
       SpreaderOutput out = spreader.forward(features);
 
       // Two-tier stacks take the classic z path (bit-identical to the
@@ -259,15 +371,16 @@ DcoResult run_dco(const Netlist& netlist, const Placement3D& initial,
       good.capture(params);
 
       // Periodically evaluate the hard-committed candidate.
-      if (iter % cfg.eval_every == 0 || iter + 1 == cfg.max_iter)
-        consider(out, iter);
+      if ((iter % cfg.eval_every == 0 || iter + 1 == cfg.max_iter) &&
+          !consider(out, iter))
+        return stop_on_deadline(iter);
 
       if (it.total < best_loss_seen - cfg.convergence_eps) {
         best_loss_seen = it.total;
         stall = 0;
       } else if (++stall >= cfg.patience) {
-        consider(out, iter);
-        return Attempt::kDone;  // converged / plateaued
+        // Converged / plateaued.
+        return consider(out, iter) ? Attempt::kDone : stop_on_deadline(iter);
       }
 
       adam.zero_grad();
@@ -305,30 +418,65 @@ DcoResult run_dco(const Netlist& netlist, const Placement3D& initial,
     return Attempt::kDone;
   };
 
-  bool stop = false;
-  for (int restart = 0; restart < std::max(cfg.restarts, 1) && !stop;
-       ++restart) {
-    for (int attempt = 0;; ++attempt) {
-      const Attempt outcome = run_attempt(restart);
-      if (outcome == Attempt::kDeadline) {
-        stop = true;
-        break;
-      }
-      if (outcome == Attempt::kDone) break;
-      if (attempt >= cfg.guard.max_reseeds) {
+  // The restart loop. Returns true if it stopped on the deadline.
+  auto optimize = [&] {
+    for (int restart = 0; restart < std::max(cfg.restarts, 1); ++restart) {
+      for (int attempt = 0;; ++attempt) {
+        const Attempt outcome = run_attempt(restart);
+        if (outcome == Attempt::kDeadline) return true;
+        if (outcome == Attempt::kDone) break;
+        if (attempt >= cfg.guard.max_reseeds) {
+          log_warn("dco: restart ", restart,
+                   " diverged and reseed budget exhausted; abandoning restart");
+          break;
+        }
+        // Constructing a fresh spreader from the shared rng reseeds the
+        // restart deterministically.
+        ++gs.reseeds;
         log_warn("dco: restart ", restart,
-                 " diverged and reseed budget exhausted; abandoning restart");
-        break;
+                 " diverged; reseeding with fresh weights");
       }
-      // Constructing a fresh spreader from the shared rng reseeds the
-      // restart deterministically.
-      ++gs.reseeds;
-      log_warn("dco: restart ", restart,
-               " diverged; reseeding with fresh weights");
     }
+    return false;
+  };
+
+  // Trial scores never feed back into the gradient trajectory, so scoring
+  // can overlap the next iterations: the optimizer drives the pool from a
+  // helper thread while this thread scores, one candidate in flight. With
+  // one thread, or inside a chunk body or inline lane, everything runs
+  // here in the serial order instead.
+  if (util::num_threads() > 1 && !util::in_parallel_region()) {
+    Handoff slot(deadline);
+    handoff = &slot;
+    std::exception_ptr optimizer_error;
+    std::thread optimizer([&] {
+      bool drop_pending = true;
+      try {
+        drop_pending = optimize();
+      } catch (const Handoff::Cancelled&) {
+      } catch (...) {
+        optimizer_error = std::current_exception();
+      }
+      slot.close(drop_pending);
+    });
+    try {
+      util::InlineLane lane;
+      score_input();
+      while (std::optional<Candidate> c = slot.take())
+        score_candidate(std::move(*c));
+    } catch (...) {
+      slot.cancel();
+      optimizer.join();
+      throw;
+    }
+    optimizer.join();
+    if (optimizer_error) std::rethrow_exception(optimizer_error);
+  } else {
+    score_input();
+    optimize();
   }
+
   res.best_loss = best_score;
-  res.initial_score = initial_score;
   res.improved = improved;
   // res.placement already holds the best candidate (or the initial
   // placement when no iterate scored better).

@@ -69,7 +69,10 @@ struct DcoConfig {
   std::uint64_t seed = 17;
   // Wall-clock budget for the whole call (all restarts); 0 = unlimited. On
   // expiry the best candidate committed so far (at minimum the input
-  // placement) is returned immediately.
+  // placement) is returned. The budget is checked before each iteration;
+  // when scoring overlaps the iterations, a handed-off candidate whose
+  // scoring has not started is dropped unscored, so only a trial route
+  // already running overshoots it (docs/robustness.md).
   double deadline_ms = 0.0;
   // Non-finite recovery (docs/robustness.md): a diverged iterate never
   // touches the committed candidate; depending on policy the step is
@@ -85,12 +88,21 @@ struct DcoIterate {
   double therm = 0.0;  // thermal-density term (0 unless epsilon_thermal > 0)
 };
 
+/// One scored candidate: the decision record of Alg. 2's commit gate.
+struct DcoCandidate {
+  int restart = -1;  // -1 for the input placement
+  int iter = -1;     // -1 for the input placement
+  double score = 0.0;
+};
+
 struct DcoResult {
   Placement3D placement;            // optimized 3D placement (hard tiers)
   std::vector<DcoIterate> trace;    // per-iteration losses
+  std::vector<DcoCandidate> candidates;  // every scored candidate, in scoring
+                                         // order; the input first
   int best_iter = 0;                // iteration of the committed candidate
-  double best_loss = 0.0;           // predictor score of the committed result
-  double initial_score = 0.0;       // predictor score of the input placement
+  double best_loss = 0.0;           // score of the committed result
+  double initial_score = 0.0;       // score of the input placement
   bool improved = false;            // false = input returned unchanged
   std::size_t cells_moved_tier = 0; // cells whose tier changed vs input
   GuardStats guard;                 // recovery events during the run
@@ -100,6 +112,11 @@ struct DcoResult {
 /// its parameters receive no updates, only gradients flow *through* it; its
 /// feature normalization is applied to the soft maps). `timing_cfg` supplies
 /// the Table-II node features.
+///
+/// With more than one worker thread (and outside a parallel region or
+/// inline lane) the gradient loop runs on a helper thread that drives the
+/// pool, while the calling thread scores candidates in hand-off order; the
+/// result is bit-identical to the serial run (docs/performance.md).
 DcoResult run_dco(const Netlist& netlist, const Placement3D& initial,
                   const Predictor& predictor, const TimingConfig& timing_cfg,
                   const DcoConfig& cfg);

@@ -86,6 +86,11 @@ class Deadline {
         .count();
   }
   bool expired() const { return !unlimited() && elapsed_ms() >= budget_ms_; }
+  /// The instant the budget runs out (meaningless when unlimited()).
+  std::chrono::steady_clock::time_point expiry() const {
+    return start_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                        std::chrono::duration<double, std::milli>(budget_ms_));
+  }
 
  private:
   std::chrono::steady_clock::time_point start_;
@@ -125,8 +130,10 @@ enum class FaultSite : int {
   kFlowStageStall,   // pipeline stage sleeps param() ms before its body runs
   kArtifactWrite,    // save_flow_artifact fails after the tmp write, before
                      // the rename (simulated crash: stale *.tmp left behind)
+  kDcoScoreStall,    // DCO candidate scorer sleeps param() ms before scoring
+  kDcoScoreFail,     // DCO candidate scorer throws before scoring
 };
-inline constexpr int kNumFaultSites = 8;
+inline constexpr int kNumFaultSites = 10;
 
 /// Deterministic fault injector: compiled in, inert unless armed (production
 /// flows never arm it). Each site keeps a consult counter; a fault fires on

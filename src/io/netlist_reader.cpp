@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -21,6 +22,22 @@ namespace {
 
 [[noreturn]] void truncated(const std::string& what) {
   throw StatusError(Status::data_loss("unexpected end of file: " + what));
+}
+
+/// Widest Verilog bus the reader bit-blasts (one net per bit).
+constexpr std::int64_t kMaxBusWidth = 1 << 16;
+
+/// A token of decimal digits that fits an int; anything else (a based
+/// literal, or a value past INT_MAX) is a line-numbered invalid_argument.
+int decimal_int(const std::string& text, std::size_t line,
+                const std::string& what) {
+  std::int64_t v = 0;
+  for (const char c : text) {
+    v = v * 10 + (c - '0');
+    if (c < '0' || c > '9' || v > std::numeric_limits<int>::max())
+      fail(line, what + " '" + text + "' is not a decimal integer below 2^31");
+  }
+  return static_cast<int>(v);
 }
 
 // ---------------------------------------------------------------------------
@@ -63,14 +80,15 @@ struct MasterTable {
   }
 
   /// Resolve a Verilog master name. `pin_count` is the instance's connection
-  /// count, used only by the last-resort rule.
-  CellTypeId resolve(const std::string& master, int pin_count) {
+  /// count, used only by the last-resort rule; `line` locates errors.
+  CellTypeId resolve(const std::string& master, int pin_count,
+                     std::size_t line) {
     auto it = entries.find(master);
     if (it != entries.end()) {
       ++it->second.instances;
       return it->second.type;
     }
-    Entry e = infer(master, pin_count);
+    Entry e = infer(master, pin_count, line);
     e.instances = 1;
     entries.emplace(master, e);
     return e.type;
@@ -83,7 +101,7 @@ struct MasterTable {
   }
 
  private:
-  Entry infer(const std::string& master, int pin_count) {
+  Entry infer(const std::string& master, int pin_count, std::size_t line) {
     // 1. Exact library type name.
     for (std::size_t i = 0; i < lib->size(); ++i)
       if (lib->type(static_cast<CellTypeId>(i)).name == master)
@@ -141,7 +159,8 @@ struct MasterTable {
       std::size_t i = up.size();
       while (i > 0 && std::isdigit(static_cast<unsigned char>(up[i - 1]))) --i;
       if (i < up.size() && i > 0 && (up[i - 1] == 'X' || up[i - 1] == '_'))
-        drive = std::stoi(up.substr(i));
+        drive = decimal_int(up.substr(i), line,
+                            "drive strength of master '" + master + "'");
       CellTypeId id = drive > 0 ? lib->find(f, drive) : -1;
       if (id < 0) id = lib->smallest(f);
       return {id, "function", 0};
@@ -344,6 +363,7 @@ class VerilogParser {
   struct Decl {
     int width = 0;  // 0 = scalar; >0 = bus [width-1:0] after normalization
     int lsb = 0;
+    std::int64_t msb() const { return std::int64_t{lsb} + width - 1; }
   };
 
   // --- token helpers ---
@@ -384,11 +404,17 @@ class VerilogParser {
     expect_punct(":");
     const Token lsb = expect(Token::kNumber, "bus lsb");
     expect_punct("]");
-    const int hi = std::stoi(msb.text), lo = std::stoi(lsb.text);
+    const int hi = decimal_int(msb.text, msb.line, "bus msb");
+    const int lo = decimal_int(lsb.text, lsb.line, "bus lsb");
     if (lo > hi)
       fail(msb.line, "descending bus ranges are not supported ([" + msb.text +
                          ":" + lsb.text + "])");
-    return {hi - lo + 1, lo};
+    const std::int64_t width = std::int64_t{hi} - lo + 1;
+    if (width > kMaxBusWidth)
+      fail(msb.line, "bus [" + msb.text + ":" + lsb.text + "] is " +
+                         std::to_string(width) + " bits wide; at most " +
+                         std::to_string(kMaxBusWidth) + " are supported");
+    return {static_cast<int>(width), lo};
   }
 
   // --- declarations ---
@@ -400,7 +426,7 @@ class VerilogParser {
       net_of_bit_[name] = new_net(name);
     } else {
       rep_.bus_bits += static_cast<std::size_t>(d.width);
-      for (int b = d.lsb; b < d.lsb + d.width; ++b) {
+      for (std::int64_t b = d.lsb; b <= d.msb(); ++b) {
         const std::string bit = name + "[" + std::to_string(b) + "]";
         net_of_bit_[bit] = new_net(bit);
       }
@@ -490,7 +516,7 @@ class VerilogParser {
     if (d.width == 0) {
       bit_port(name);
     } else {
-      for (int b = d.lsb; b < d.lsb + d.width; ++b)
+      for (std::int64_t b = d.lsb; b <= d.msb(); ++b)
         bit_port(name + "[" + std::to_string(b) + "]");
     }
   }
@@ -527,7 +553,8 @@ class VerilogParser {
     expect_punct(";");
 
     const CellTypeId type =
-        masters_.resolve(master.text, static_cast<int>(conns.size()));
+        masters_.resolve(master.text, static_cast<int>(conns.size()),
+                         master.line);
     const CellType& t = nl_.library().type(type);
     const bool fixed = t.function == CellFunction::kMacro ||
                        t.function == CellFunction::kIoPad;
@@ -578,14 +605,13 @@ class VerilogParser {
       if (decl->second.width == 0)
         fail(idx.line, "width mismatch: scalar wire '" + t.text +
                            "' used with a bit-select");
-      const int b = std::stoi(idx.text);
-      if (b < decl->second.lsb || b >= decl->second.lsb + decl->second.width)
+      const int b = decimal_int(idx.text, idx.line, "bit index");
+      if (b < decl->second.lsb || b > decl->second.msb())
         fail(idx.line, "width mismatch: bit " + idx.text + " outside '" +
                            t.text + "[" +
-                           std::to_string(decl->second.lsb +
-                                          decl->second.width - 1) +
-                           ":" + std::to_string(decl->second.lsb) + "]");
-      return net_of_bit_.at(t.text + "[" + idx.text + "]");
+                           std::to_string(decl->second.msb()) + ":" +
+                           std::to_string(decl->second.lsb) + "]");
+      return net_of_bit_.at(t.text + "[" + std::to_string(b) + "]");
     }
     if (decl->second.width != 0)
       fail(t.line, "width mismatch: bus '" + t.text + "' (" +

@@ -84,6 +84,17 @@ inline std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
   return h;
 }
 
+/// Golden hash of a placement: every coordinate and tier, bit for bit.
+inline std::uint64_t placement_hash(const Placement3D& pl) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < pl.size(); ++i) {
+    h = fnv1a(h, &pl.xy[i].x, sizeof(double));
+    h = fnv1a(h, &pl.xy[i].y, sizeof(double));
+    h = fnv1a(h, &pl.tier[i], sizeof(int));
+  }
+  return h;
+}
+
 /// A tiny but fully-featured design for unit tests.
 inline Netlist tiny_design(std::size_t cells = 240, std::uint64_t seed = 5) {
   DesignSpec spec = spec_for(DesignKind::kDma, 0.01);

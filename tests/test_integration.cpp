@@ -2,14 +2,23 @@
 // -> Alg. 2 -> flow) on a small design, checking the paper's headline claim
 // (congestion drops without wrecking QoR) and whole-flow determinism.
 
+#include <algorithm>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "core/dco.hpp"
+#include "core/guard.hpp"
 #include "core/trainer.hpp"
 #include "flow/pin3d.hpp"
 #include "place/legalize.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 #include "util/stats.hpp"
+#include "util/status.hpp"
 
 namespace dco3d {
 namespace {
@@ -213,31 +222,44 @@ double trial_route_score(const Netlist& netlist, const Placement3D& pl,
   return r.total_overflow + 1e-5 * r.wirelength;
 }
 
-TEST(DcoContract, CommitNeverRoutesWorseThanInput) {
-  DesignSpec spec = spec_for(DesignKind::kLdpc, 0.008);
-  spec.seed = 21;
-  const Netlist design = generate_design(spec);
-  const Placement3D input =
-      place_pseudo3d(design, PlacementParams{}, 5, /*legalized=*/false);
-
-  // Untrained predictor with a fixed init: the gradient steps still move
-  // cells, and the trial route alone decides what is committed.
+/// Untrained predictor with a fixed init: the gradient steps still move
+/// cells, and the trial route alone decides what is committed.
+Predictor fixed_init_predictor() {
   Predictor pred;
   Rng rng(99);
   pred.model = std::make_shared<nn::SiameseUNet>(nn::UNetConfig{}, rng);
   pred.feature_scale = nn::Tensor({7});
   for (int i = 0; i < 7; ++i) pred.feature_scale[i] = 1.0f;
+  return pred;
+}
 
+/// Small LDPC with tight router capacities, so every trial route overflows
+/// and rip-up-and-reroute runs the maze router on each candidate.
+DcoConfig congested_route_config() {
   DcoConfig cfg;
   cfg.grid_nx = cfg.grid_ny = 16;
   cfg.max_iter = 6;
   cfg.eval_every = 2;
-  cfg.restarts = 1;
+  cfg.restarts = 2;
   cfg.select_by_route = true;
-  // Tight capacities: the trial routes overflow, so rip-up-and-reroute runs
-  // the maze router on every candidate.
   cfg.router.h_capacity = 3.0;
   cfg.router.v_capacity = 3.0;
+  return cfg;
+}
+
+Netlist congested_ldpc() {
+  DesignSpec spec = spec_for(DesignKind::kLdpc, 0.008);
+  spec.seed = 21;
+  return generate_design(spec);
+}
+
+TEST(DcoContract, CommitNeverRoutesWorseThanInput) {
+  const Netlist design = congested_ldpc();
+  const Placement3D input =
+      place_pseudo3d(design, PlacementParams{}, 5, /*legalized=*/false);
+  const Predictor pred = fixed_init_predictor();
+  DcoConfig cfg = congested_route_config();
+  cfg.restarts = 1;
   const double input_score = trial_route_score(design, input, cfg);
   ASSERT_GT(input_score, 1.0) << "router must be congested";
 
@@ -262,6 +284,215 @@ TEST(DcoContract, CommitNeverRoutesWorseThanInput) {
   // The seeds cover both branches of the contract.
   EXPECT_GT(improved, 0);
   EXPECT_LT(improved, 4);
+}
+
+// Restarts and deadlines never commit an unscored candidate. A stalled
+// scorer keeps candidates in flight when the deadline expires: the one
+// waiting at the hand-off is dropped, and whatever was committed was scored.
+
+/// Arms a fault site for the scope of a test and disarms every site after.
+struct ArmedFault {
+  ArmedFault(FaultSite site, int step, int count, double param = 0.0) {
+    FaultInjector::instance().disarm();
+    FaultInjector::instance().arm(site, step, count, param);
+  }
+  ~ArmedFault() { FaultInjector::instance().disarm(); }
+};
+
+/// Threads of this process, or -1 where /proc/self/task is not available.
+int process_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  return static_cast<int>(std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+/// Threads of this process once joined threads have left the task list (the
+/// kernel may still list one for a moment after join returns), waiting at
+/// most a second for the count to fall to `expected`. A thread still running
+/// keeps the count above it.
+int settled_threads(int expected) {
+  int n = process_threads();
+  for (int i = 0; i < 100 && n > expected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    n = process_threads();
+  }
+  return n;
+}
+
+/// Scored candidates, input first, each one a trial route that ran: the
+/// record's length is the number of scorer calls and its minimum is the
+/// committed score.
+void expect_candidate_record(const DcoResult& r, int scorer_calls) {
+  ASSERT_EQ(r.candidates.size(), static_cast<std::size_t>(scorer_calls));
+  EXPECT_EQ(r.candidates[0].restart, -1);
+  EXPECT_EQ(r.candidates[0].iter, -1);
+  EXPECT_EQ(r.candidates[0].score, r.initial_score);
+  double lowest = r.candidates[0].score;
+  for (const DcoCandidate& c : r.candidates) lowest = std::min(lowest, c.score);
+  EXPECT_EQ(lowest, r.best_loss);
+}
+
+TEST(DcoContract, DeadlineWithCandidatesInFlightCommitsOnlyScored) {
+  testing::ThreadGuard threads;
+  const Netlist design = congested_ldpc();
+  const Placement3D input =
+      place_pseudo3d(design, PlacementParams{}, 5, /*legalized=*/false);
+  const Predictor pred = fixed_init_predictor();
+  DcoConfig cfg = congested_route_config();
+  cfg.seed = 18;
+  cfg.max_iter = 400;
+  cfg.eval_every = 1;
+  cfg.deadline_ms = 1200.0;
+  const double input_score = trial_route_score(design, input, cfg);
+
+  for (int n : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << n);
+    util::set_num_threads(n);
+    // Every scoring takes at least 300 ms, far longer than an iteration, so
+    // the optimizer waits at the hand-off when the deadline expires.
+    const ArmedFault stall(FaultSite::kDcoScoreStall, 0, 1 << 20, 300.0);
+    const DcoResult r = run_dco(design, input, pred, TimingConfig{}, cfg);
+    EXPECT_TRUE(r.guard.deadline_hit);
+    const double committed = trial_route_score(design, r.placement, cfg);
+    EXPECT_EQ(committed, r.best_loss);
+    EXPECT_LE(committed, input_score);
+    const int scored = FaultInjector::instance().fired(FaultSite::kDcoScoreStall);
+    expect_candidate_record(r, scored);
+    // Candidates reached the scorer in iteration order, and none came from
+    // past the last iteration the optimizer ran.
+    for (std::size_t i = 2; i < r.candidates.size(); ++i) {
+      const DcoCandidate& a = r.candidates[i - 1];
+      const DcoCandidate& b = r.candidates[i];
+      EXPECT_TRUE(a.restart < b.restart ||
+                  (a.restart == b.restart && a.iter < b.iter));
+    }
+    // Serially each iteration scores its own candidate before the next
+    // deadline check; overlapped, the candidate waiting at the hand-off (or
+    // still waiting to be handed off) when the deadline expired was dropped.
+    if (n == 1)
+      EXPECT_EQ(static_cast<std::size_t>(scored), r.trace.size() + 1);
+    else
+      EXPECT_LT(static_cast<std::size_t>(scored), r.trace.size() + 1);
+  }
+}
+
+TEST(DcoContract, StrictFailureDuringTrialRouteStopsBothSides) {
+  testing::ThreadGuard threads;
+  const Netlist design = congested_ldpc();
+  const Placement3D input =
+      place_pseudo3d(design, PlacementParams{}, 5, /*legalized=*/false);
+  const Predictor pred = fixed_init_predictor();
+  DcoConfig cfg = congested_route_config();
+  cfg.guard.strict = true;
+
+  util::set_num_threads(4);
+  util::parallel_for(0, 4, 1, [](std::int64_t, std::int64_t) {});
+  const int before = process_threads();
+  {
+    // The scorer is still busy with the input's (stalled) trial scoring when
+    // the optimizer's second iteration hits a non-finite loss.
+    const ArmedFault stall(FaultSite::kDcoScoreStall, 0, 1 << 20, 200.0);
+    FaultInjector::instance().arm(FaultSite::kDcoLoss, /*step=*/1);
+    try {
+      run_dco(design, input, pred, TimingConfig{}, cfg);
+      FAIL() << "expected StatusError";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kNumericalError);
+    }
+    EXPECT_EQ(FaultInjector::instance().fired(FaultSite::kDcoLoss), 1);
+  }
+  EXPECT_LE(settled_threads(before), before);
+
+  {
+    // The other direction: the scorer throws on the first candidate after
+    // the input, and the optimizer stops at its next hand-off or iteration.
+    const ArmedFault fail(FaultSite::kDcoScoreFail, 1, 1);
+    try {
+      run_dco(design, input, pred, TimingConfig{}, cfg);
+      FAIL() << "expected StatusError";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kInternal);
+    }
+  }
+  EXPECT_LE(settled_threads(before), before);
+}
+
+// The decision record: every trial-scored candidate in scoring order, the
+// same at any thread count, one entry per trial route.
+TEST(DcoCandidates, RecordListsEveryTrialRouteInScoringOrder) {
+  testing::ThreadGuard threads;
+  const Netlist design = congested_ldpc();
+  const Placement3D input =
+      place_pseudo3d(design, PlacementParams{}, 5, /*legalized=*/false);
+  const Predictor pred = fixed_init_predictor();
+  DcoConfig cfg = congested_route_config();
+  cfg.seed = 18;
+
+  std::vector<DcoCandidate> serial;
+  for (int n : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << n);
+    util::set_num_threads(n);
+    const ArmedFault count(FaultSite::kDcoScoreStall, 0, 1 << 20, 0.0);
+    const DcoResult r = run_dco(design, input, pred, TimingConfig{}, cfg);
+    expect_candidate_record(
+        r, FaultInjector::instance().fired(FaultSite::kDcoScoreStall));
+    // Input + iterations 0, 2, 4 and the last one (5) of each restart.
+    ASSERT_EQ(r.candidates.size(), 9u);
+    const int iters[] = {0, 2, 4, 5};
+    for (std::size_t i = 1; i < r.candidates.size(); ++i) {
+      EXPECT_EQ(r.candidates[i].restart, static_cast<int>((i - 1) / 4));
+      EXPECT_EQ(r.candidates[i].iter, iters[(i - 1) % 4]);
+    }
+    // The committed iterate is the first to reach the best score.
+    for (const DcoCandidate& c : r.candidates)
+      if (c.score == r.best_loss) {
+        EXPECT_EQ(c.iter, r.improved ? r.best_iter : -1);
+        break;
+      }
+    if (serial.empty()) {
+      serial = r.candidates;
+    } else {
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(r.candidates[i].restart, serial[i].restart);
+        EXPECT_EQ(r.candidates[i].iter, serial[i].iter);
+        EXPECT_EQ(r.candidates[i].score, serial[i].score);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// select_by_route golden: the default candidate scorer (trial CTS + legalize +
+// global route of every hard candidate) across restarts, recorded from the
+// serial scorer. The committed placement, the iterate it came from and both
+// trial-route scores must not depend on the worker-pool size.
+
+TEST(DcoGolden, SelectByRouteBitIdenticalAcrossThreads) {
+  testing::ThreadGuard guard;
+  const Netlist design = congested_ldpc();
+  const Placement3D input =
+      place_pseudo3d(design, PlacementParams{}, 5, /*legalized=*/false);
+  const Predictor pred = fixed_init_predictor();
+  DcoConfig cfg = congested_route_config();
+  cfg.seed = 18;
+
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    util::set_num_threads(threads);
+    const DcoResult r = run_dco(design, input, pred, TimingConfig{}, cfg);
+    EXPECT_EQ(testing::placement_hash(r.placement), 0x446e2974e2a58099ull);
+    EXPECT_TRUE(r.improved);
+    EXPECT_EQ(r.best_iter, 4);
+    EXPECT_EQ(r.best_loss, 0x1.bb806738f7c1cp+10);
+    EXPECT_EQ(r.initial_score, 0x1.c940681aca87ep+10);
+    EXPECT_EQ(r.cells_moved_tier, 6u);
+    ASSERT_EQ(r.trace.size(), 12u);
+    std::uint64_t th = 1469598103934665603ull;
+    for (const DcoIterate& it : r.trace)
+      th = testing::fnv1a(th, &it.total, sizeof(double));
+    EXPECT_EQ(th, 0x44c45c3deb342235ull);
+  }
 }
 
 }  // namespace

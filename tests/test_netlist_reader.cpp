@@ -187,6 +187,68 @@ TEST(VerilogReader, WidthMismatchesAreRejected) {
   }
 }
 
+/// The status of reading `text`; its message must name `line`.
+StatusCode verilog_error(const std::string& text, int line,
+                         const std::string& needle) {
+  std::istringstream src(text);
+  try {
+    read_verilog(src);
+  } catch (const StatusError& e) {
+    const std::string& msg = e.status().message();
+    EXPECT_NE(msg.find("line " + std::to_string(line) + ":"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(needle), std::string::npos) << msg;
+    return e.status().code();
+  }
+  return StatusCode::kOk;
+}
+
+TEST(VerilogReader, OutOfRangeNumbersAreLineNumberedErrors) {
+  // Bus bounds past INT_MAX.
+  EXPECT_EQ(verilog_error("module m(a);\n  input [99999999999:0] a;\nendmodule\n",
+                          2, "bus msb '99999999999'"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(verilog_error("module m();\n  wire [3:99999999999] b;\nendmodule\n",
+                          2, "bus lsb '99999999999'"),
+            StatusCode::kInvalidArgument);
+  // A range whose width overflows int, and one that would bit-blast 10^8
+  // nets: both exceed the fixed bus-width cap instead.
+  EXPECT_EQ(verilog_error("module m();\n  wire [2147483647:0] b;\nendmodule\n",
+                          2, "2147483648 bits wide"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(verilog_error("module m();\n\n  wire [100000000:0] b;\nendmodule\n",
+                          3, "100000001 bits wide"),
+            StatusCode::kInvalidArgument);
+  // A based literal is not a bus bound.
+  EXPECT_EQ(verilog_error("module m();\n  wire [4'hF:0] b;\nendmodule\n", 2,
+                          "not a decimal integer"),
+            StatusCode::kInvalidArgument);
+  // A bit-select past INT_MAX.
+  EXPECT_EQ(verilog_error("module m();\n  wire [3:0] b;\n"
+                          "  INV_X1 u0 (.A(b[99999999999]), .Y());\nendmodule\n",
+                          3, "bit index '99999999999'"),
+            StatusCode::kInvalidArgument);
+  // A master whose drive-strength suffix does not fit an int.
+  EXPECT_EQ(verilog_error("module m(a);\n  input a;\n"
+                          "  NAND2_X99999999999 u0 (.A(a), .B(a), .Y());\n"
+                          "endmodule\n",
+                          3, "drive strength of master 'NAND2_X99999999999'"),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(VerilogReader, BusBitsNearIntMaxAndZeroPaddedSelects) {
+  // The top bit of a bus ending at INT_MAX, and a zero-padded bit-select.
+  std::istringstream src(R"(
+    module m(); wire [2147483647:2147483644] b; wire [3:0] c;
+      INV_X1 u0 (.A(b[2147483647]), .Y(c[000000000003]));
+      INV_X1 u1 (.A(c[3]), .Y(b[2147483644]));
+    endmodule)");
+  ImportReport rep;
+  const Netlist nl = read_verilog(src, &rep);
+  EXPECT_EQ(rep.bus_bits, 8u);
+  EXPECT_GE(nl.num_cells(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Bookshelf.
 

@@ -33,19 +33,9 @@
 namespace dco3d {
 namespace {
 
-using testing::fnv1a;
+using testing::placement_hash;
 using testing::ThreadGuard;
 using testing::tiny_design;
-
-std::uint64_t placement_hash(const Placement3D& pl) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < pl.size(); ++i) {
-    h = fnv1a(h, &pl.xy[i].x, sizeof(double));
-    h = fnv1a(h, &pl.xy[i].y, sizeof(double));
-    h = fnv1a(h, &pl.tier[i], sizeof(int));
-  }
-  return h;
-}
 
 // ---------------------------------------------------------------------------
 // K = 2 golden regressions: hashes and hex-float metrics recorded from the

@@ -29,7 +29,9 @@
 // records as "threads", and fails (exit 1) if any kernel's fresh p50
 // regresses more than --threshold (default 0.15 = 15%) over the committed
 // number, or if a committed kernel no longer exists (renames must regenerate
-// the baseline). Wired as the `bench_regression` ctest.
+// the baseline). A baseline recorded on another SIMD backend or host ISA is
+// not compared at all: compare exits kExitSkipped (77), which the
+// `bench_regression*` ctests report as skipped. Wired as those ctests.
 //
 // Timings are medians over --reps runs after one warm-up; they are
 // machine-dependent engineering numbers (like BENCH_serve.json), committed
@@ -605,6 +607,10 @@ std::string scan_string(const std::string& text, const char* key) {
   return text.substr(start, text.find('"', start) - start);
 }
 
+/// compare's exit code when the baseline's timings cannot be compared with
+/// this binary's (ctest SKIP_RETURN_CODE).
+constexpr int kExitSkipped = 77;
+
 int run_compare(int argc, char** argv) {
   const char* baseline_path = arg_str(argc, argv, "--baseline", nullptr);
   if (!baseline_path) {
@@ -621,6 +627,18 @@ int run_compare(int argc, char** argv) {
     std::fprintf(stderr, "bench_report compare: cannot read %s\n",
                  baseline_path);
     return 2;
+  }
+  // Timings from another SIMD backend or ISA say nothing about this build.
+  for (const auto& [key, current] :
+       {std::pair<const char*, const char*>{"simd", nn::simd::backend_name()},
+        {"host_isa", nn::simd::host_isa()}}) {
+    const std::string recorded = scan_string(base, key);
+    if (!recorded.empty() && recorded != current) {
+      std::printf("skip: %s records %s=%s, this binary runs %s=%s; timings "
+                  "are not comparable\n",
+                  baseline_path, key, recorded.c_str(), key, current);
+      return kExitSkipped;
+    }
   }
   // Measure at the baseline's worker-pool size so the gate compares like
   // with like on a host whose default thread count differs from it.
@@ -655,12 +673,6 @@ int run_compare(int argc, char** argv) {
                  schema.c_str(), baseline_path);
     return 2;
   }
-  const std::string base_simd = scan_string(base, "simd");
-  if (!base_simd.empty() && base_simd != nn::simd::backend_name())
-    std::printf("note: baseline simd=%s, current simd=%s — timings may not "
-                "be comparable\n",
-                base_simd.c_str(), nn::simd::backend_name());
-
   int regressions = 0;
   std::printf("%-28s %10s %10s %8s\n", "kernel", "base_ms", "fresh_ms",
               "ratio");
