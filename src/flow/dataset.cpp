@@ -8,14 +8,16 @@
 
 namespace dco3d {
 
-DataSample make_sample(const Netlist& design, const PlacementParams& params,
-                       const DatasetConfig& cfg, std::uint64_t seed,
-                       int perturb) {
-  // Features come from the 3D *global placement* (the prediction-time input);
-  // labels come from post-CTS routed congestion (the post-route truth).
+namespace {
+
+/// Label one sample of a layout from a copy of its global placement: apply
+/// perturbation `perturb` (none for 0), then take features from the 3D
+/// *global placement* (the prediction-time input) and labels from post-CTS
+/// routed congestion (the post-route truth).
+DataSample label_sample(const Netlist& design, const PlacementParams& params,
+                        const DatasetConfig& cfg, std::uint64_t seed,
+                        int perturb, Placement3D placement) {
   Netlist netlist = design;
-  Placement3D placement = place_pseudo3d(netlist, params, seed,
-                                         /*legalized=*/false, cfg.num_tiers);
   if (perturb > 0) {
     // Local perturbation: emulate the moves the DCO spreader makes so the
     // model learns the congestion response to them (see DatasetConfig).
@@ -97,6 +99,16 @@ DataSample make_sample(const Netlist& design, const PlacementParams& params,
   return s;
 }
 
+}  // namespace
+
+DataSample make_sample(const Netlist& design, const PlacementParams& params,
+                       const DatasetConfig& cfg, std::uint64_t seed,
+                       int perturb) {
+  return label_sample(design, params, cfg, seed, perturb,
+                      place_pseudo3d(design, params, seed,
+                                     /*legalized=*/false, cfg.num_tiers));
+}
+
 std::vector<DataSample> build_dataset(const Netlist& design,
                                       const DatasetConfig& cfg) {
   Rng rng(cfg.seed);
@@ -107,9 +119,13 @@ std::vector<DataSample> build_dataset(const Netlist& design,
     // First layout uses the default configuration; the rest sample Table I.
     const PlacementParams params =
         i == 0 ? PlacementParams{} : PlacementParams::sample(rng);
-    out.push_back(make_sample(design, params, cfg, cfg.seed * 977 + i));
-    for (int p = 1; p <= cfg.perturbed_per_layout; ++p)
-      out.push_back(make_sample(design, params, cfg, cfg.seed * 977 + i, p));
+    // Placement depends only on (params, seed), so each layout is placed
+    // once and every sample of it labels a copy.
+    const std::uint64_t seed = cfg.seed * 977 + static_cast<std::uint64_t>(i);
+    const Placement3D placement = place_pseudo3d(
+        design, params, seed, /*legalized=*/false, cfg.num_tiers);
+    for (int p = 0; p <= cfg.perturbed_per_layout; ++p)
+      out.push_back(label_sample(design, params, cfg, seed, p, placement));
   }
   return out;
 }

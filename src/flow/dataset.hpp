@@ -38,6 +38,8 @@ struct DatasetConfig {
   // gradient-based spreader can walk outside the training distribution and
   // "fool" the model (predicted congestion drops while routed congestion
   // explodes). This plays the role the paper's 300-layout diversity plays.
+  // Each layout is placed once; its perturbed copies derive from that single
+  // placement, so only labelling (CTS + routing) is paid per copy.
   int perturbed_per_layout = 2;
   double perturb_sigma_frac = 0.04;  // position jitter, fraction of die size
   double perturb_move_prob = 0.5;    // fraction of cells jittered
@@ -49,8 +51,9 @@ struct DatasetConfig {
 std::vector<DataSample> build_dataset(const Netlist& design,
                                       const DatasetConfig& cfg);
 
-/// Build a single sample from a specific placement configuration.
-/// `perturb` > 0 applies that many rounds of local perturbation noise.
+/// Build a single sample from a specific placement configuration: entry
+/// `perturb` of the layout `build_dataset` places with (`params`, `seed`).
+/// `perturb` > 0 selects that perturbation round (its noise stream and kind).
 DataSample make_sample(const Netlist& design, const PlacementParams& params,
                        const DatasetConfig& cfg, std::uint64_t seed,
                        int perturb = 0);

@@ -27,6 +27,15 @@ namespace {
 /// Widest Verilog bus the reader bit-blasts (one net per bit).
 constexpr std::int64_t kMaxBusWidth = 1 << 16;
 
+/// Most bits the reader bit-blasts over all buses of one module (four
+/// full-width buses), so the bus nets are bounded by this rather than by the
+/// file size.
+constexpr std::int64_t kMaxModuleBusBits = 4 * kMaxBusWidth;
+
+/// Longest identifier the reader accepts (IEEE 1364 lets a tool cap
+/// identifiers at no fewer than 1024 characters).
+constexpr std::size_t kMaxIdentifierLength = 1024;
+
 /// A token of decimal digits that fits an int; anything else (a based
 /// literal, or a value past INT_MAX) is a line-numbered invalid_argument.
 int decimal_int(const std::string& text, std::size_t line,
@@ -263,13 +272,13 @@ class Lexer {
         while (pos_ < src_.size() &&
                !std::isspace(static_cast<unsigned char>(src_[pos_])))
           ++pos_;
-        return {Token::kIdent, src_.substr(b + 1, pos_ - b - 1), line_};
+        return ident(b + 1);
       }
       while (pos_ < src_.size() &&
              (std::isalnum(static_cast<unsigned char>(src_[pos_])) ||
               src_[pos_] == '_' || src_[pos_] == '$'))
         ++pos_;
-      return {Token::kIdent, src_.substr(b, pos_ - b), line_};
+      return ident(b);
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
       // Plain integer or based literal (8'hFF, 1'b0, ...).
@@ -288,6 +297,16 @@ class Lexer {
     }
     ++pos_;
     return {Token::kPunct, std::string(1, c), line_};
+  }
+
+  /// The identifier src_[b, pos_), refused past kMaxIdentifierLength.
+  Token ident(std::size_t b) {
+    const std::size_t len = pos_ - b;
+    if (len > kMaxIdentifierLength)
+      fail(line_, "identifier '" + src_.substr(b, 32) + "...' is " +
+                      std::to_string(len) + " characters long; at most " +
+                      std::to_string(kMaxIdentifierLength) + " are supported");
+    return {Token::kIdent, src_.substr(b, len), line_};
   }
 
   void skip() {
@@ -425,6 +444,12 @@ class VerilogParser {
     if (d.width == 0) {
       net_of_bit_[name] = new_net(name);
     } else {
+      const std::int64_t total =
+          static_cast<std::int64_t>(rep_.bus_bits) + d.width;
+      if (total > kMaxModuleBusBits)
+        fail(line, "bus '" + name + "' brings the module to " +
+                       std::to_string(total) + " bus bits; at most " +
+                       std::to_string(kMaxModuleBusBits) + " are supported");
       rep_.bus_bits += static_cast<std::size_t>(d.width);
       for (std::int64_t b = d.lsb; b <= d.msb(); ++b) {
         const std::string bit = name + "[" + std::to_string(b) + "]";

@@ -78,6 +78,11 @@ struct Ctx {
   const RouterConfig& cfg;
   RouteGrid& rg;
 
+  // Cached edge_cost_of per edge, indexed [tier][edge] like the grid. Every
+  // write to an edge's use or history refreshes that edge's entry, so the
+  // searches read one array instead of re-deriving the cost from three.
+  std::vector<std::vector<double>> h_cost, v_cost;
+
   // Maze scratch, sized to the full grid on first use and reused by every
   // maze search of this global_route call. A tile's label is live only when
   // its stamp equals the current epoch, so a search never zero-fills.
@@ -86,19 +91,67 @@ struct Ctx {
   std::uint32_t epoch = 0;
   std::vector<HeapEntry> heap;
 
+  /// Takes the grid after its capacities are final (macro blockage applied).
+  Ctx(const RouterConfig& config, RouteGrid& grid) : cfg(config), rg(grid) {
+    const auto k = static_cast<std::size_t>(rg.num_tiers());
+    h_cost.assign(k, std::vector<double>(rg.num_h_edges()));
+    v_cost.assign(k, std::vector<double>(rg.num_v_edges()));
+    for (int die = 0; die < rg.num_tiers(); ++die) {
+      for (std::size_t i = 0; i < rg.num_h_edges(); ++i) refresh(die, true, i);
+      for (std::size_t i = 0; i < rg.num_v_edges(); ++i) refresh(die, false, i);
+    }
+  }
+
+  /// Recompute one edge's cached cost from its capacity, use and history.
+  void refresh(int die, bool horizontal, std::size_t idx) {
+    if (horizontal)
+      h_cost[die][idx] = edge_cost_of(rg.h_cap[die][idx], rg.h_use[die][idx],
+                                      rg.h_hist[die][idx], cfg.present_penalty);
+    else
+      v_cost[die][idx] = edge_cost_of(rg.v_cap[die][idx], rg.v_use[die][idx],
+                                      rg.v_hist[die][idx], cfg.present_penalty);
+  }
+
   double edge_cost(int die, bool horizontal, std::size_t idx) const {
-    return horizontal
-               ? edge_cost_of(rg.h_cap[die][idx], rg.h_use[die][idx],
-                              rg.h_hist[die][idx], cfg.present_penalty)
-               : edge_cost_of(rg.v_cap[die][idx], rg.v_use[die][idx],
-                              rg.v_hist[die][idx], cfg.present_penalty);
+    return horizontal ? h_cost[die][idx] : v_cost[die][idx];
   }
 
   void add_edge(NetRoute& route, int die, bool horizontal, std::size_t idx) {
     auto& use = horizontal ? rg.h_use[die] : rg.v_use[die];
     use[idx] += 1.0;
+    refresh(die, horizontal, idx);
     route.edges.push_back({static_cast<std::int8_t>(die), horizontal,
                            static_cast<std::int32_t>(idx)});
+  }
+
+  void rip_up(NetRoute& route) {
+    for (const RoutedEdge& e : route.edges) {
+      const auto idx = static_cast<std::size_t>(e.index);
+      auto& use = e.horizontal ? rg.h_use[e.die] : rg.v_use[e.die];
+      use[idx] -= 1.0;
+      refresh(e.die, e.horizontal, idx);
+    }
+    route.edges.clear();
+  }
+
+  /// Bump history on every overflowed edge; false when none overflows.
+  bool bump_history() {
+    bool any_overflow = false;
+    for (int die = 0; die < rg.num_tiers(); ++die) {
+      for (std::size_t i = 0; i < rg.num_h_edges(); ++i)
+        if (rg.h_use[die][i] > rg.h_cap[die][i]) {
+          rg.h_hist[die][i] += cfg.history_increment;
+          refresh(die, true, i);
+          any_overflow = true;
+        }
+      for (std::size_t i = 0; i < rg.num_v_edges(); ++i)
+        if (rg.v_use[die][i] > rg.v_cap[die][i]) {
+          rg.v_hist[die][i] += cfg.history_increment;
+          refresh(die, false, i);
+          any_overflow = true;
+        }
+    }
+    return any_overflow;
   }
 
   /// Straight horizontal run from (m0,n) to (m1,n).
@@ -147,20 +200,13 @@ struct Ctx {
     const int m1 = std::min(nx - 1, std::max(a.m, b.m) + cfg.maze_margin);
     const int n0 = std::max(0, std::min(a.n, b.n) - cfg.maze_margin);
     const int n1 = std::min(rg.ny() - 1, std::max(a.n, b.n) + cfg.maze_margin);
-    const double* hcap = rg.h_cap[die].data();
-    const double* huse = rg.h_use[die].data();
-    const double* hhist = rg.h_hist[die].data();
-    const double* vcap = rg.v_cap[die].data();
-    const double* vuse = rg.v_use[die].data();
-    const double* vhist = rg.v_hist[die].data();
-    const double penalty = cfg.present_penalty;
-    const auto h_cost = [&](int m, int n) {  // edge (m,n) -> (m+1,n)
-      const std::size_t i = rg.h_edge_index(m, n);
-      return edge_cost_of(hcap[i], huse[i], hhist[i], penalty);
+    const double* hc = h_cost[die].data();
+    const double* vc = v_cost[die].data();
+    const auto h_at = [&](int m, int n) {  // edge (m,n) -> (m+1,n)
+      return hc[rg.h_edge_index(m, n)];
     };
-    const auto v_cost = [&](int m, int n) {  // edge (m,n) -> (m,n+1)
-      const std::size_t i = rg.v_edge_index(m, n);
-      return edge_cost_of(vcap[i], vuse[i], vhist[i], penalty);
+    const auto v_at = [&](int m, int n) {  // edge (m,n) -> (m,n+1)
+      return vc[rg.v_edge_index(m, n)];
     };
 
     if (dist.empty()) {
@@ -203,10 +249,10 @@ struct Ctx {
       heap.pop_back();
       if (e.g > dist[static_cast<std::size_t>(e.tile)]) continue;  // stale
       const int um = e.tile % nx, un = e.tile / nx;
-      if (um > m0) relax(e.tile - 1, um - 1, un, e.g + h_cost(um - 1, un));
-      if (um < m1) relax(e.tile + 1, um + 1, un, e.g + h_cost(um, un));
-      if (un > n0) relax(e.tile - nx, um, un - 1, e.g + v_cost(um, un - 1));
-      if (un < n1) relax(e.tile + nx, um, un + 1, e.g + v_cost(um, un));
+      if (um > m0) relax(e.tile - 1, um - 1, un, e.g + h_at(um - 1, un));
+      if (um < m1) relax(e.tile + 1, um + 1, un, e.g + h_at(um, un));
+      if (un > n0) relax(e.tile - nx, um, un - 1, e.g + v_at(um, un - 1));
+      if (un < n1) relax(e.tile + nx, um, un + 1, e.g + v_at(um, un));
     }
 
     // Walk back from the target. Dijkstra popped tiles in (dist, id) order and
@@ -227,10 +273,10 @@ struct Ctx {
           best_d = du;
         }
       };
-      if (vm > m0) consider(v - 1, h_cost(vm - 1, vn));
-      if (vm < m1) consider(v + 1, h_cost(vm, vn));
-      if (vn > n0) consider(v - nx, v_cost(vm, vn - 1));
-      if (vn < n1) consider(v + nx, v_cost(vm, vn));
+      if (vm > m0) consider(v - 1, h_at(vm - 1, vn));
+      if (vm < m1) consider(v + 1, h_at(vm, vn));
+      if (vn > n0) consider(v - nx, v_at(vm, vn - 1));
+      if (vn < n1) consider(v + nx, v_at(vm, vn));
       assert(best >= 0);
       const int um = best % nx, un = best / nx;
       if (un == vn)
@@ -344,14 +390,6 @@ void route_net(Ctx& ctx, const NetPlan& plan, NetRoute& route, bool maze) {
   }
 }
 
-void rip_up(Ctx& ctx, NetRoute& route) {
-  for (const RoutedEdge& e : route.edges) {
-    auto& use = e.horizontal ? ctx.rg.h_use[e.die] : ctx.rg.v_use[e.die];
-    use[static_cast<std::size_t>(e.index)] -= 1.0;
-  }
-  route.edges.clear();
-}
-
 }  // namespace
 
 RouteResult global_route(const Netlist& netlist, const Placement3D& placement,
@@ -359,7 +397,7 @@ RouteResult global_route(const Netlist& netlist, const Placement3D& placement,
   const int num_tiers = placement.num_tiers;
   RouteGrid rg(grid, cfg, num_tiers);
   rg.apply_macro_blockages(netlist, placement);
-  Ctx ctx{cfg, rg};
+  Ctx ctx(cfg, rg);
 
   const std::size_t n_nets = netlist.num_nets();
   std::vector<NetPlan> plans(n_nets);
@@ -380,21 +418,7 @@ RouteResult global_route(const Netlist& netlist, const Placement3D& placement,
 
   // Negotiated rip-up and reroute.
   for (int round = 0; round < cfg.rrr_rounds; ++round) {
-    // Bump history on overflowed edges.
-    bool any_overflow = false;
-    for (int die = 0; die < num_tiers; ++die) {
-      for (std::size_t i = 0; i < rg.num_h_edges(); ++i)
-        if (rg.h_use[die][i] > rg.h_cap[die][i]) {
-          rg.h_hist[die][i] += cfg.history_increment;
-          any_overflow = true;
-        }
-      for (std::size_t i = 0; i < rg.num_v_edges(); ++i)
-        if (rg.v_use[die][i] > rg.v_cap[die][i]) {
-          rg.v_hist[die][i] += cfg.history_increment;
-          any_overflow = true;
-        }
-    }
-    if (!any_overflow) break;
+    if (!ctx.bump_history()) break;
 
     for (std::size_t ni = 0; ni < n_nets; ++ni) {
       bool over = false;
@@ -408,7 +432,7 @@ RouteResult global_route(const Netlist& netlist, const Placement3D& placement,
         }
       }
       if (!over) continue;
-      rip_up(ctx, routes[ni]);
+      ctx.rip_up(routes[ni]);
       route_net(ctx, plans[ni], routes[ni], /*maze=*/true);
     }
   }
@@ -521,7 +545,7 @@ RouterConfig calibrate_capacity(const Netlist& netlist,
 
   const int num_tiers = placement.num_tiers;
   RouteGrid rg(grid, probe, num_tiers);
-  Ctx ctx{probe, rg};
+  Ctx ctx(probe, rg);
   for (std::size_t ni = 0; ni < netlist.num_nets(); ++ni) {
     NetPlan plan =
         plan_net(netlist, static_cast<NetId>(ni), placement, grid, num_tiers);

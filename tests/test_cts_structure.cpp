@@ -45,8 +45,9 @@ TEST(CtsStructure, TreeReachesEveryRegisterExactlyOnce) {
   }
   for (std::size_t ci = 0; ci < f.cells_before; ++ci) {
     const auto id = static_cast<CellId>(ci);
-    if (f.nl.is_sequential(id))
+    if (f.nl.is_sequential(id)) {
       EXPECT_EQ(clock_fanin[id], 1) << f.nl.cell_name(id);
+    }
   }
 }
 

@@ -37,9 +37,10 @@ TEST(Cts, EveryRegisterReached) {
   const CtsResult r = run_cts(nl, pl);
   for (std::size_t ci = 0; ci < nl.num_cells(); ++ci) {
     const auto id = static_cast<CellId>(ci);
-    if (nl.is_sequential(id))
+    if (nl.is_sequential(id)) {
       EXPECT_GT(r.skew_ps[ci], 0.0) << "register " << nl.cell_name(id)
                                     << " not reached by the clock tree";
+    }
   }
   EXPECT_GE(r.levels, 2u);
   EXPECT_GT(r.max_skew_ps, 0.0);
@@ -185,6 +186,69 @@ TEST(Dataset, LayoutsDifferAcrossSamples) {
   for (std::int64_t i = 0; i < data[0].features[0].numel(); ++i)
     diff += std::abs(data[0].features[0][i] - data[1].features[0][i]);
   EXPECT_GT(diff, 0.0);
+}
+
+/// Hash of every sample's features and labels, bit for bit, in dataset order.
+std::uint64_t dataset_hash(const std::vector<DataSample>& data) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const DataSample& s : data) {
+    for (const nn::Tensor& f : s.features)
+      h = testing::fnv1a(h, f.data().data(), f.data().size() * sizeof(float));
+    for (const nn::Tensor& l : s.labels)
+      h = testing::fnv1a(h, l.data().data(), l.data().size() * sizeof(float));
+  }
+  return h;
+}
+
+DatasetConfig golden_dataset_config(int num_tiers) {
+  DatasetConfig cfg;
+  cfg.num_tiers = num_tiers;
+  cfg.layouts = 3;
+  cfg.perturbed_per_layout = 2;
+  cfg.grid_nx = cfg.grid_ny = 16;
+  cfg.net_h = cfg.net_w = 16;
+  cfg.router.h_capacity = cfg.router.v_capacity = 4.0;
+  return cfg;
+}
+
+// Recorded from the dataset builder that placed every sample anew;
+// placing each layout once must reproduce it bit for bit at any thread count.
+TEST(DatasetGolden, SamplesMatchRecordedHashes) {
+  testing::ThreadGuard guard;
+  const Netlist design = generate_design(spec_for(DesignKind::kLdpc, 0.005));
+  const struct {
+    int tiers;
+    std::uint64_t hash;
+  } cases[] = {{2, 0x926008a7c1c9f391ull}, {3, 0x975df549c7996131ull}};
+  for (const auto& c : cases) {
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(::testing::Message() << "K=" << c.tiers
+                                        << " threads=" << threads);
+      util::set_num_threads(threads);
+      const auto data = build_dataset(design, golden_dataset_config(c.tiers));
+      ASSERT_EQ(data.size(), 9u);
+      EXPECT_EQ(dataset_hash(data), c.hash);
+    }
+  }
+}
+
+TEST(Dataset, MakeSampleMatchesBuildDataset) {
+  const Netlist design = generate_design(spec_for(DesignKind::kLdpc, 0.005));
+  const DatasetConfig cfg = golden_dataset_config(2);
+  const auto data = build_dataset(design, cfg);
+  const int per_layout = 1 + cfg.perturbed_per_layout;
+  // Layout 2 uses the second Table-I draw (layout 0 takes no draw).
+  const int i = 2;
+  Rng rng(cfg.seed);
+  PlacementParams params;
+  for (int k = 1; k <= i; ++k) params = PlacementParams::sample(rng);
+  for (int p = 0; p < per_layout; ++p) {
+    SCOPED_TRACE(::testing::Message() << "perturb=" << p);
+    const DataSample s = make_sample(design, params, cfg,
+                                     cfg.seed * 977 + static_cast<std::uint64_t>(i), p);
+    EXPECT_EQ(dataset_hash({s}),
+              dataset_hash({data[static_cast<std::size_t>(i * per_layout + p)]}));
+  }
 }
 
 TEST(Dataset, SplitFractionsRespected) {

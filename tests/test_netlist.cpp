@@ -58,8 +58,9 @@ TEST(Library, ConsistentRowHeight) {
   const Library lib = Library::make_default();
   for (std::size_t i = 0; i < lib.size(); ++i) {
     const CellType& t = lib.type(static_cast<CellTypeId>(i));
-    if (t.function != CellFunction::kMacro && t.function != CellFunction::kIoPad)
+    if (t.function != CellFunction::kMacro && t.function != CellFunction::kIoPad) {
       EXPECT_DOUBLE_EQ(t.height, lib.row_height());
+    }
   }
 }
 
@@ -219,8 +220,9 @@ TEST_P(GeneratorTest, EveryMovableCellConnected) {
   for (const Pin& p : nl.pins())
     touched[static_cast<std::size_t>(p.cell)] = true;
   for (std::size_t i = 0; i < nl.num_cells(); ++i) {
-    if (nl.is_movable(static_cast<CellId>(i)))
+    if (nl.is_movable(static_cast<CellId>(i))) {
       EXPECT_TRUE(touched[i]) << nl.cell_name(static_cast<CellId>(i));
+    }
   }
 }
 

@@ -236,6 +236,39 @@ TEST(VerilogReader, OutOfRangeNumbersAreLineNumberedErrors) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(VerilogReader, OverlongIdentifiersAreLineNumberedErrors) {
+  const std::string longest(1024, 'n');
+  const std::string too_long(1025, 'n');
+  // At the cap, plain and escaped identifiers are accepted.
+  std::istringstream ok("module m(" + longest + ");\n  input " + longest +
+                        ";\n  wire \\" + longest + " ;\nendmodule\n");
+  EXPECT_NO_THROW(read_verilog(ok));
+  // One character past it, both are refused on their own line.
+  EXPECT_EQ(verilog_error("module m();\n  wire " + too_long + ";\nendmodule\n",
+                          2, "1025 characters long; at most 1024"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(verilog_error("module m();\n\n  wire \\" + too_long +
+                              " ;\nendmodule\n",
+                          3, "1025 characters long"),
+            StatusCode::kInvalidArgument);
+  // An identifier that runs to the end of the file is still refused.
+  EXPECT_EQ(verilog_error("module " + std::string(1 << 20, 'm'), 1,
+                          "1048576 characters long"),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(VerilogReader, ModuleBusBitsAreCapped) {
+  // Four full-width buses fill the module's bit-blast budget; one more bit
+  // of bus is refused on its line, and scalars do not count.
+  std::string text = "module m();\n";
+  for (int b = 0; b < 4; ++b)
+    text += "  wire [65535:0] b" + std::to_string(b) + ";\n";
+  text += "  wire s;\n  wire [0:0] e;\nendmodule\n";
+  EXPECT_EQ(verilog_error(text, 7, "bus 'e' brings the module to 262145 bus "
+                                   "bits; at most 262144"),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(VerilogReader, BusBitsNearIntMaxAndZeroPaddedSelects) {
   // The top bit of a bus ending at INT_MAX, and a zero-padded bit-select.
   std::istringstream src(R"(
@@ -271,7 +304,9 @@ TEST(BookshelfReader, ImportsTinyExample) {
     const auto id = static_cast<CellId>(ci);
     if (nl.is_io(id)) ++pads;
     if (nl.is_macro(id)) ++macros;
-    if (nl.is_io(id) || nl.is_macro(id)) EXPECT_TRUE(nl.cell(id).fixed);
+    if (nl.is_io(id) || nl.is_macro(id)) {
+      EXPECT_TRUE(nl.cell(id).fixed);
+    }
   }
   EXPECT_EQ(pads, 2u);
   EXPECT_EQ(macros, 1u);

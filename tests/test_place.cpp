@@ -205,7 +205,9 @@ TEST(Fm, FixedCellsNeverMove) {
   partition_tiers(nl, pl, cfg);
   for (std::size_t i = 0; i < nl.num_cells(); ++i) {
     const auto id = static_cast<CellId>(i);
-    if (!nl.is_movable(id)) EXPECT_EQ(pl.tier[i], fixed_before[i]);
+    if (!nl.is_movable(id)) {
+      EXPECT_EQ(pl.tier[i], fixed_before[i]);
+    }
   }
 }
 

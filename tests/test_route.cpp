@@ -277,6 +277,62 @@ TEST(RouterGolden, CongestedMazeRoutingMatchesRecordedResults) {
   }
 }
 
+// Pattern routing alone (no RRR): only the edge costs summed by the best-of-two
+// L-shape decide between its two candidates. Tight capacities and fractional
+// macro-blocked ones make the present-overuse penalty pick many of them.
+TEST(RouterGolden, PatternRoutingMatchesRecordedResults) {
+  ThreadGuard guard;
+  const CongestedCase cases[] = {
+      {"dma_k2", DesignKind::kDma, 2, 3.0, 0x1.76p+9, 0x1.2b049c0c78472p+8,
+       0x218030ce17a14ed8ull},
+      {"macroheavy_k3", DesignKind::kMacroHeavy, 3, 5.0, 0x1.1567333333332p+10,
+       0x1.e492c91d92fe4p+8, 0x19655a9146f737fcull},
+  };
+  for (const CongestedCase& c : cases) {
+    const Netlist nl = generate_design(spec_for(c.kind, 0.005));
+    RouterConfig cfg;
+    cfg.h_capacity = cfg.v_capacity = c.capacity;
+    cfg.rrr_rounds = 0;
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(::testing::Message() << c.name << " threads=" << threads);
+      util::set_num_threads(threads);
+      const Placement3D pl =
+          place_pseudo3d(nl, PlacementParams{}, 3, true, c.tiers);
+      const GCellGrid grid(pl.outline, 16, 16);
+      const RouteResult r = global_route(nl, pl, grid, cfg);
+      EXPECT_EQ(r.total_overflow, c.overflow);
+      EXPECT_EQ(r.wirelength, c.wirelength);
+      EXPECT_EQ(route_hash(r), c.hash);
+    }
+  }
+}
+
+TEST(RouterGolden, CalibratedCapacityMatchesRecordedResults) {
+  ThreadGuard guard;
+  const struct {
+    const char* name;
+    DesignKind kind;
+    int tiers;
+    double h_capacity, v_capacity;
+  } cases[] = {
+      {"ldpc_k2", DesignKind::kLdpc, 2, 9.0, 6.0},
+      {"macroheavy_k3", DesignKind::kMacroHeavy, 3, 10.0, 6.0},
+  };
+  for (const auto& c : cases) {
+    const Netlist nl = generate_design(spec_for(c.kind, 0.005));
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(::testing::Message() << c.name << " threads=" << threads);
+      util::set_num_threads(threads);
+      const Placement3D pl =
+          place_pseudo3d(nl, PlacementParams{}, 3, true, c.tiers);
+      const GCellGrid grid(pl.outline, 16, 16);
+      const RouterConfig cal = calibrate_capacity(nl, pl, grid);
+      EXPECT_EQ(cal.h_capacity, c.h_capacity);
+      EXPECT_EQ(cal.v_capacity, c.v_capacity);
+    }
+  }
+}
+
 TEST(Router, ScalesWithPlacementQuality) {
   // A congested clumped placement must overflow more than a spread one.
   const Netlist nl = testing::tiny_design(600);

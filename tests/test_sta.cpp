@@ -30,7 +30,7 @@ struct ChainFixture {
       const CellId next = i < length ? chain[static_cast<std::size_t>(i)] : ff_out;
       Net n;
       n.driver = {prev, {}};
-      n.sinks = {{next, {}}};
+      n.sinks.push_back({next, {}});
       nl.add_net(std::move(n));
       prev = next;
     }
@@ -163,7 +163,7 @@ TEST(Sta, ClockNetsExcludedFromDataArcs) {
   const CellId cb = nl.add_cell("clkbuf", buf);
   Net clk;
   clk.driver = {cb, {}};
-  clk.sinks = {{ff, {}}};
+  clk.sinks.push_back({ff, {}});
   clk.is_clock = true;
   nl.add_net(std::move(clk));
   nl.freeze();
@@ -184,7 +184,7 @@ TEST(Sta, ClockNetsBurnSwitchingPower) {
   const CellId s = nl.add_cell("sink", inv);
   Net data;
   data.driver = {cb, {}};
-  data.sinks = {{s, {}}};
+  data.sinks.push_back({s, {}});
   nl.add_net(std::move(data));
   nl.freeze();
   Placement3D pl = Placement3D::make(2, Rect{0, 0, 10, 10});
@@ -204,7 +204,7 @@ TEST(Sta, NetLoadIncludesPinsWireAndVia) {
   const CellId b = nl.add_cell("b", inv);
   Net n;
   n.driver = {a, {}};
-  n.sinks = {{b, {}}};
+  n.sinks.push_back({b, {}});
   nl.add_net(std::move(n));
   nl.freeze();
   Placement3D pl = Placement3D::make(2, Rect{0, 0, 100, 100});

@@ -104,7 +104,9 @@ TEST(Trainer, LabelScalePositiveAndApplied) {
   for (int die = 0; die < 2; ++die)
     for (std::int64_t i = 0; i < out[die].numel(); ++i)
       pred_max = std::max(pred_max, out[die][i]);
-  if (label_max > 0.0f) EXPECT_LT(pred_max, label_max * 10.0f);
+  if (label_max > 0.0f) {
+    EXPECT_LT(pred_max, label_max * 10.0f);
+  }
 }
 
 TEST(Trainer, EvaluateHandlesEmptySampleList) {
