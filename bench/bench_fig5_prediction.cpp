@@ -82,8 +82,7 @@ int main(int argc, char** argv) {
 
   // ---- (c) model vs RUDY vs ground truth on one test sample ----
   const DataSample& s = *test[0];
-  nn::Tensor out[2];
-  predictor.predict(s, out);
+  const std::vector<nn::Tensor> out = predictor.predict(s);
   const auto H = static_cast<std::size_t>(s.labels[0].dim(2));
   const auto W = static_cast<std::size_t>(s.labels[0].dim(3));
   std::printf("\n-- Fig. 5(c): predicted vs RUDY vs ground truth (test sample) --\n");

@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
 
   // Inspect one held-out sample.
   const DataSample& s = *test[0];
-  nn::Tensor out[2];
-  predictor.predict(s, out);
+  const std::vector<nn::Tensor> out = predictor.predict(s);
   std::printf("\nheld-out sample, top die: corr(pred, truth) = %.3f\n",
               pearson(out[1].data(), s.labels[1].data()));
   std::printf("\npredicted congestion (top die):\n%s",

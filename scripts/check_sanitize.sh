@@ -105,6 +105,30 @@ echo "== import smoke under $SAN (counter8.v + tiny.aux)"
 "$BUILD/tools/dco3d" check "$BUILD/counter8.design"
 "$BUILD/tools/dco3d" check "$BUILD/tiny.design"
 
+# 3-tier DCO smoke: the survival-form tier relaxation is the one soft-map,
+# loss and SIMD backward path for every tier count, so run Alg. 2 end to end
+# at K = 3 (place, a one-epoch checkpoint, optimize) under the sanitizer.
+# A tier count past the supported maximum must stop at the CLI with
+# invalid_argument (exit 2) instead of reaching the fixed per-tier scratch.
+echo "== 3-tier optimize smoke under $SAN"
+SMOKE="$BUILD/tier-smoke"
+rm -rf "$SMOKE"
+mkdir -p "$SMOKE"
+"$BUILD/tools/dco3d" generate dma --scale 0.02 -o "$SMOKE/d.design"
+"$BUILD/tools/dco3d" place "$SMOKE/d.design" --tiers 3 -o "$SMOKE/d.place"
+"$BUILD/tools/dco3d" train "$SMOKE/d.design" --layouts 2 --epochs 1 \
+  --grid 16 --tiers 3 -o "$SMOKE/d.ckpt"
+"$BUILD/tools/dco3d" optimize "$SMOKE/d.design" "$SMOKE/d.place" \
+  "$SMOKE/d.ckpt" --grid 16 -o "$SMOKE/d2.place"
+echo "== place --tiers 9 must exit 2"
+rc=0
+"$BUILD/tools/dco3d" place "$SMOKE/d.design" --tiers 9 \
+  -o "$SMOKE/bad.place" || rc=$?
+if [[ $rc -ne 2 ]]; then
+  echo "place --tiers 9 exited $rc, expected 2"
+  exit 1
+fi
+
 # Bench smoke: one pass of the perf-gate comparator against the committed
 # baseline at the sanitize threshold (50%, set by CMake when DCO3D_SANITIZE
 # is on) — proves the gate tooling itself is sanitizer-clean.

@@ -219,10 +219,9 @@ DcoResult run_dco(const Netlist& netlist, const Placement3D& initial,
   // guard.max_reseeds).
   enum class Attempt { kDone, kDiverged, kDeadline };
 
-  const int num_tiers = initial.num_tiers;
   // Per-cell power (switching + leakage) for the optional thermal channel.
   nn::Tensor cell_power;
-  if (num_tiers > 2 && cfg.epsilon_thermal > 0.0f) {
+  if (cfg.epsilon_thermal > 0.0f) {
     cell_power = nn::Tensor({static_cast<std::int64_t>(netlist.num_cells())});
     const double f_ghz = 1000.0 / timing_cfg.clock_period_ps;
     for (std::size_t ci = 0; ci < netlist.num_cells(); ++ci) {
@@ -247,10 +246,9 @@ DcoResult run_dco(const Netlist& netlist, const Placement3D& initial,
     auto consider = [&](const SpreaderOutput& out, int iter) {
       // A candidate with non-finite coordinates or score can never replace
       // the committed one; the input placement remains the floor.
-      bool tier_finite = num_tiers > 2 ? true : all_finite(out.z->value);
-      if (num_tiers > 2)
-        for (const nn::Var& pt : out.p)
-          tier_finite = tier_finite && all_finite(pt->value);
+      bool tier_finite = true;
+      for (const nn::Var& a : out.above)
+        tier_finite = tier_finite && all_finite(a->value);
       if (!all_finite(out.x->value) || !all_finite(out.y->value) ||
           !tier_finite) {
         log_warn("dco: candidate at iter ", iter,
@@ -298,29 +296,17 @@ DcoResult run_dco(const Netlist& netlist, const Placement3D& initial,
       if (deadline.expired()) return stop_on_deadline(iter);
       SpreaderOutput out = spreader.forward(features);
 
-      // Two-tier stacks take the classic z path (bit-identical to the
-      // original two-die pipeline); K > 2 runs the generalized per-tier
-      // losses on the stick-breaking probabilities.
-      nn::Var l_cong, l_ovlp, l_cut, l_therm;
-      if (num_tiers == 2) {
-        SoftMaps maps = soft_feature_maps(netlist, grid, out.x, out.y, out.z);
-        l_cong = congestion_loss(predictor, maps);
-        l_ovlp = overlap_loss(netlist, out.x, out.y, out.z, initial.outline,
-                              cfg.overlap_bins, cfg.overlap_bins,
-                              cfg.overlap_target_util);
-        l_cut = cutsize_loss(out.z, edges);
-      } else {
-        SoftMaps maps = soft_feature_maps(netlist, grid, out.x, out.y, out.p);
-        l_cong = congestion_loss(predictor, maps);
-        l_ovlp = overlap_loss(netlist, out.x, out.y, out.p, initial.outline,
-                              cfg.overlap_bins, cfg.overlap_bins,
-                              cfg.overlap_target_util);
-        l_cut = cutsize_loss(out.p, edges);
-        if (cfg.epsilon_thermal > 0.0f)
-          l_therm = thermal_density_loss(netlist, out.x, out.y, out.p,
-                                         cell_power, initial.outline,
-                                         cfg.overlap_bins, cfg.overlap_bins);
-      }
+      SoftMaps maps = soft_feature_maps(netlist, grid, out.x, out.y, out.above);
+      nn::Var l_cong = congestion_loss(predictor, maps);
+      nn::Var l_ovlp = overlap_loss(netlist, out.x, out.y, out.above,
+                                    initial.outline, cfg.overlap_bins,
+                                    cfg.overlap_bins, cfg.overlap_target_util);
+      nn::Var l_cut = cutsize_loss(out.above, edges);
+      nn::Var l_therm;
+      if (cfg.epsilon_thermal > 0.0f)
+        l_therm = thermal_density_loss(netlist, out.x, out.y, out.above,
+                                       cell_power, initial.outline,
+                                       cfg.overlap_bins, cfg.overlap_bins);
       nn::Var l_disp = displacement_loss(out.x, out.y, x0, y0, initial.outline);
 
       nn::Var total = nn::add(

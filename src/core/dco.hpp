@@ -44,9 +44,9 @@ struct DcoConfig {
   int grid_ny = 64;
   double overlap_target_util = 0.75;
   int overlap_bins = 24;
-  // Optional thermal-density channel (K-tier stacks): weight of the
+  // Optional thermal-density channel (any tier count): weight of the
   // depth-weighted power-density penalty. 0 disables it (the default, which
-  // keeps the classic two-die loss composition bit-identical).
+  // keeps the paper's loss composition).
   float epsilon_thermal = 0.0f;
   double convergence_eps = 1e-4;  // stop when the loss plateaus
   int patience = 50;

@@ -1,11 +1,12 @@
 #include "core/losses.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "nn/ops.hpp"
-#include <utility>
 
 #include "util/parallel.hpp"
 
@@ -34,12 +35,15 @@ nn::Var displacement_loss(const nn::Var& x, const nn::Var& y,
   return nn::add(nn::mean_op(nn::square(dx)), nn::mean_op(nn::square(dy)));
 }
 
-nn::Var cutsize_loss(
-    const nn::Var& z,
-    std::shared_ptr<const std::vector<std::pair<std::int64_t, std::int64_t>>> edges) {
-  assert(edges);
-  const auto n = static_cast<std::size_t>(z->value.numel());
-  auto zs = std::as_const(z->value).data();
+namespace {
+
+using EdgeList = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+template <int K>
+nn::Var cutsize_loss_k(const std::vector<nn::Var>& above,
+                       std::shared_ptr<const EdgeList> edges,
+                       const TierState& ts) {
+  const std::size_t n = ts.size();
 
   // Degrees.
   auto degree = std::make_shared<std::vector<double>>(n, 0.0);
@@ -48,122 +52,8 @@ nn::Var cutsize_loss(
     (*degree)[static_cast<std::size_t>(v)] += 1.0;
   }
 
-  const auto n_edges = static_cast<std::int64_t>(edges->size());
-  double cut = util::parallel_reduce(
-      0, n_edges, 4096, 0.0,
-      [&](std::int64_t b, std::int64_t e, double& acc) {
-        for (std::int64_t i = b; i < e; ++i) {
-          const auto [u, v] = (*edges)[static_cast<std::size_t>(i)];
-          const double zu =
-              std::clamp(static_cast<double>(zs[static_cast<std::size_t>(u)]), 0.0, 1.0);
-          const double zv =
-              std::clamp(static_cast<double>(zs[static_cast<std::size_t>(v)]), 0.0, 1.0);
-          acc += zu * (1.0 - zv) + zv * (1.0 - zu);
-        }
-      },
-      [](double& into, const double& from) { into += from; });
-
-  struct DegSums {
-    double t = 0.0, b = 0.0;
-  };
-  const DegSums deg = util::parallel_reduce(
-      0, static_cast<std::int64_t>(n), 8192, DegSums{},
-      [&](std::int64_t b, std::int64_t e, DegSums& acc) {
-        for (std::int64_t i = b; i < e; ++i) {
-          const auto ci = static_cast<std::size_t>(i);
-          const double zi = std::clamp(static_cast<double>(zs[ci]), 0.0, 1.0);
-          acc.t += (*degree)[ci] * zi;
-          acc.b += (*degree)[ci] * (1.0 - zi);
-        }
-      },
-      [](DegSums& into, const DegSums& from) {
-        into.t += from.t;
-        into.b += from.b;
-      });
-  double deg_t = deg.t, deg_b = deg.b;
-  constexpr double kEps = 1e-6;
-  deg_t = std::max(deg_t, kEps);
-  deg_b = std::max(deg_b, kEps);
-  const double loss = cut / deg_t + cut / deg_b;
-
-  auto backward = [edges, degree, cut, deg_t, deg_b](nn::Node& node) {
-    nn::Node& pz = *node.parents[0];
-    if (!pz.requires_grad) return;
-    pz.ensure_grad();
-    const float g = node.grad[0];
-    auto zs = std::as_const(pz.value).data();
-    auto gz = pz.grad.data();
-    const double inv = 1.0 / deg_t + 1.0 / deg_b;
-    // d(cut)/dz_i = sum_{j in N(i)} (1 - 2 z_j); the per-edge scatter hits
-    // arbitrary cells, so chunks accumulate private vectors merged in order.
-    const auto n_edges = static_cast<std::int64_t>(edges->size());
-    std::vector<double> dcut = util::parallel_reduce(
-        0, n_edges, util::grain_for_chunks(n_edges, kScatterChunks),
-        std::vector<double>(degree->size(), 0.0),
-        [&](std::int64_t b, std::int64_t e, std::vector<double>& acc) {
-          for (std::int64_t i = b; i < e; ++i) {
-            const auto [u, v] = (*edges)[static_cast<std::size_t>(i)];
-            const double zu = std::clamp(
-                static_cast<double>(zs[static_cast<std::size_t>(u)]), 0.0, 1.0);
-            const double zv = std::clamp(
-                static_cast<double>(zs[static_cast<std::size_t>(v)]), 0.0, 1.0);
-            acc[static_cast<std::size_t>(u)] += 1.0 - 2.0 * zv;
-            acc[static_cast<std::size_t>(v)] += 1.0 - 2.0 * zu;
-          }
-        },
-        add_vec);
-    util::parallel_for(
-        0, static_cast<std::int64_t>(degree->size()), 8192,
-        [&](std::int64_t b, std::int64_t e) {
-          for (std::int64_t i = b; i < e; ++i) {
-            const auto ci = static_cast<std::size_t>(i);
-            const double d_deg = (*degree)[ci];
-            // d(1/degT)/dz_i = -deg_i/degT^2 ; d(1/degB)/dz_i = +deg_i/degB^2.
-            const double term =
-                dcut[ci] * inv +
-                cut * (-d_deg / (deg_t * deg_t) + d_deg / (deg_b * deg_b));
-            gz[ci] += g * static_cast<float>(term);
-          }
-        });
-  };
-  return nn::make_node(nn::Tensor::scalar(static_cast<float>(loss)), {z},
-                       std::move(backward));
-}
-
-nn::Var cutsize_loss(
-    const std::vector<nn::Var>& p,
-    std::shared_ptr<const std::vector<std::pair<std::int64_t, std::int64_t>>> edges) {
-  assert(edges);
-  assert(p.size() >= 2);
-  const int K = static_cast<int>(p.size());
-  const auto n = static_cast<std::size_t>(p[0]->value.numel());
-
-  // Tier CDF per cell: F[j][i] = P(T_i <= j), j = 0..K-2 (boundary index).
-  auto cdf = std::make_shared<std::vector<std::vector<double>>>(
-      static_cast<std::size_t>(K - 1), std::vector<double>(n, 0.0));
-  {
-    std::vector<std::span<const float>> ps(static_cast<std::size_t>(K));
-    for (int t = 0; t < K; ++t)
-      ps[static_cast<std::size_t>(t)] =
-          std::as_const(p[static_cast<std::size_t>(t)]->value).data();
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = 0.0;
-      for (int j = 0; j + 1 < K; ++j) {
-        acc += std::clamp(static_cast<double>(ps[static_cast<std::size_t>(j)][i]),
-                          0.0, 1.0);
-        (*cdf)[static_cast<std::size_t>(j)][i] = std::clamp(acc, 0.0, 1.0);
-      }
-    }
-  }
-
-  // Degrees.
-  auto degree = std::make_shared<std::vector<double>>(n, 0.0);
-  for (auto [u, v] : *edges) {
-    (*degree)[static_cast<std::size_t>(u)] += 1.0;
-    (*degree)[static_cast<std::size_t>(v)] += 1.0;
-  }
-
-  // cut = sum_edges E|T_u - T_v| via the boundary-crossing identity.
+  // cut = sum_edges E|T_u - T_v|: boundary j is crossed with probability
+  // G_u (1 - G_v) + G_v (1 - G_u), G = above[j].
   const auto n_edges = static_cast<std::int64_t>(edges->size());
   const double cut = util::parallel_reduce(
       0, n_edges, 4096, 0.0,
@@ -171,97 +61,108 @@ nn::Var cutsize_loss(
         for (std::int64_t i = b; i < e; ++i) {
           const auto [u, v] = (*edges)[static_cast<std::size_t>(i)];
           for (int j = 0; j + 1 < K; ++j) {
-            const double fu = (*cdf)[static_cast<std::size_t>(j)][static_cast<std::size_t>(u)];
-            const double fv = (*cdf)[static_cast<std::size_t>(j)][static_cast<std::size_t>(v)];
-            acc += fu + fv - 2.0 * fu * fv;
+            const double gu = ts.above(j, static_cast<std::size_t>(u));
+            const double gv = ts.above(j, static_cast<std::size_t>(v));
+            acc += gu * (1.0 - gv) + gv * (1.0 - gu);
           }
         }
       },
       [](double& into, const double& from) { into += from; });
 
   // Per-tier expected connectivity deg(t) = sum_u deg_u p_t(u).
-  std::vector<double> deg_t(static_cast<std::size_t>(K), 0.0);
-  {
-    std::vector<std::span<const float>> ps(static_cast<std::size_t>(K));
-    for (int t = 0; t < K; ++t)
-      ps[static_cast<std::size_t>(t)] =
-          std::as_const(p[static_cast<std::size_t>(t)]->value).data();
-    for (int t = 0; t < K; ++t) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < n; ++i)
-        acc += (*degree)[i] *
-               std::clamp(static_cast<double>(ps[static_cast<std::size_t>(t)][i]),
-                          0.0, 1.0);
-      constexpr double kEps = 1e-6;
-      deg_t[static_cast<std::size_t>(t)] = std::max(acc, kEps);
-    }
-  }
-  double inv_sum = 0.0;
-  for (int t = 0; t < K; ++t) inv_sum += 1.0 / deg_t[static_cast<std::size_t>(t)];
-  const double loss = cut * inv_sum;
+  struct DegSums {
+    double d[kMaxTiers] = {};
+  };
+  const DegSums sums = util::parallel_reduce(
+      0, static_cast<std::int64_t>(n), 8192, DegSums{},
+      [&](std::int64_t b, std::int64_t e, DegSums& acc) {
+        double p[kMaxTiers];
+        for (std::int64_t i = b; i < e; ++i) {
+          const auto ci = static_cast<std::size_t>(i);
+          ts.probs<K>(ci, p);
+          for (int t = 0; t < K; ++t) acc.d[t] += (*degree)[ci] * p[t];
+        }
+      },
+      [](DegSums& into, const DegSums& from) {
+        for (int t = 0; t < K; ++t) into.d[t] += from.d[t];
+      });
+  constexpr double kEps = 1e-6;
+  std::array<double, kMaxTiers> deg{};
+  for (int t = 0; t < K; ++t) deg[t] = std::max(sums.d[t], kEps);
+  // L = sum_t cut / deg(t), from the top tier down.
+  double loss = cut / deg[K - 1];
+  for (int t = K - 2; t >= 0; --t) loss += cut / deg[t];
 
-  auto backward = [edges, degree, cdf, cut, deg_t, inv_sum, K](nn::Node& node) {
-    const auto n = degree->size();
+  auto backward = [edges, degree, cut, deg](nn::Node& node) {
     bool any = false;
     for (auto& par : node.parents) any = any || par->requires_grad;
     if (!any) return;
     const float g = node.grad[0];
-
-    // dcut/dF_u(j) = 1 - 2 F_v(j) summed over neighbors v; scatter per edge
-    // into per-chunk buffers merged in order.
+    const std::size_t n = degree->size();
+    const TierState ts(node.parents, n);
+    double inv = 1.0 / deg[K - 1];
+    for (int t = K - 2; t >= 0; --t) inv += 1.0 / deg[t];
+    // d(cut)/d above_j(i) = sum_{v in N(i)} (1 - 2 above_j(v)); the per-edge
+    // scatter hits arbitrary cells, so chunks accumulate private vectors
+    // (boundary-major) merged in order.
     const auto n_edges = static_cast<std::int64_t>(edges->size());
-    std::vector<std::vector<double>> dF = util::parallel_reduce(
+    std::vector<double> dcut = util::parallel_reduce(
         0, n_edges, util::grain_for_chunks(n_edges, kScatterChunks),
-        std::vector<std::vector<double>>(static_cast<std::size_t>(K - 1),
-                                         std::vector<double>(n, 0.0)),
-        [&](std::int64_t b, std::int64_t e, std::vector<std::vector<double>>& acc) {
+        std::vector<double>(static_cast<std::size_t>(K - 1) * n, 0.0),
+        [&](std::int64_t b, std::int64_t e, std::vector<double>& acc) {
           for (std::int64_t i = b; i < e; ++i) {
             const auto [u, v] = (*edges)[static_cast<std::size_t>(i)];
             for (int j = 0; j + 1 < K; ++j) {
-              const auto js = static_cast<std::size_t>(j);
-              const double fu = (*cdf)[js][static_cast<std::size_t>(u)];
-              const double fv = (*cdf)[js][static_cast<std::size_t>(v)];
-              acc[js][static_cast<std::size_t>(u)] += 1.0 - 2.0 * fv;
-              acc[js][static_cast<std::size_t>(v)] += 1.0 - 2.0 * fu;
+              const double gu = ts.above(j, static_cast<std::size_t>(u));
+              const double gv = ts.above(j, static_cast<std::size_t>(v));
+              double* dj = acc.data() + static_cast<std::size_t>(j) * n;
+              dj[static_cast<std::size_t>(u)] += 1.0 - 2.0 * gv;
+              dj[static_cast<std::size_t>(v)] += 1.0 - 2.0 * gu;
             }
           }
         },
-        [](std::vector<std::vector<double>>& into,
-           const std::vector<std::vector<double>>& from) {
-          for (std::size_t j = 0; j < into.size(); ++j)
-            for (std::size_t i = 0; i < into[j].size(); ++i)
-              into[j][i] += from[j][i];
-        });
-
-    // dF(j)/dp_t = [t <= j]  =>  dcut/dp_t(u) = sum_{j >= t} dF[j][u].
-    // Suffix-sum the boundary grads once, then flush per tier.
-    for (int t = 0; t < K; ++t) {
-      nn::Node& pt = *node.parents[static_cast<std::size_t>(t)];
-      if (!pt.requires_grad) continue;
-      pt.ensure_grad();
-      auto dst = pt.grad.data();
+        add_vec);
+    for (int j = 0; j + 1 < K; ++j) {
+      nn::Node& pj = *node.parents[static_cast<std::size_t>(j)];
+      if (!pj.requires_grad) continue;
+      pj.ensure_grad();
+      auto gz = pj.grad.data();
+      const double* dj = dcut.data() + static_cast<std::size_t>(j) * n;
+      const double deg_u = deg[j + 1], deg_l = deg[j];
       util::parallel_for(
           0, static_cast<std::int64_t>(n), 8192,
           [&](std::int64_t b, std::int64_t e) {
             for (std::int64_t i = b; i < e; ++i) {
               const auto ci = static_cast<std::size_t>(i);
-              double dcut = 0.0;
-              for (int j = t; j + 1 < K; ++j)
-                dcut += dF[static_cast<std::size_t>(j)][ci];
-              // d(1/deg_t)/dp_t(u) = -deg_u / deg_t^2.
+              const double d_deg = (*degree)[ci];
+              // d(1/deg(t))/dp_t(i) = -deg_i/deg(t)^2, and above_j raises
+              // p_{j+1} and lowers p_j.
               const double term =
-                  dcut * inv_sum -
-                  cut * (*degree)[ci] /
-                      (deg_t[static_cast<std::size_t>(t)] *
-                       deg_t[static_cast<std::size_t>(t)]);
-              dst[ci] += g * static_cast<float>(term);
+                  dj[ci] * inv +
+                  cut * (-d_deg / (deg_u * deg_u) + d_deg / (deg_l * deg_l));
+              gz[ci] += g * static_cast<float>(term);
             }
           });
     }
   };
   return nn::make_node(nn::Tensor::scalar(static_cast<float>(loss)),
-                       std::vector<nn::Var>(p.begin(), p.end()),
+                       std::vector<nn::Var>(above.begin(), above.end()),
                        std::move(backward));
+}
+
+}  // namespace
+
+nn::Var cutsize_loss(const std::vector<nn::Var>& above,
+                     std::shared_ptr<const EdgeList> edges) {
+  assert(edges);
+  // An empty state (K = 1) is rejected by TierState.
+  const auto n = above.empty()
+                     ? std::size_t{0}
+                     : static_cast<std::size_t>(above[0]->value.numel());
+  const TierState ts(above, n);
+  return with_tier_count(ts.num_tiers(), [&](auto k) {
+    return cutsize_loss_k<decltype(k)::value>(above, std::move(edges), ts);
+  });
 }
 
 double bell_potential(double d, double wb, double wv) {
@@ -293,151 +194,6 @@ double bell_potential_grad(double d, double wb, double wv) {
     return sign * (2.0 * b * (d - r2));
   }
   return 0.0;
-}
-
-nn::Var overlap_loss(const Netlist& netlist, const nn::Var& x, const nn::Var& y,
-                     const nn::Var& z, const Rect& outline, int bins_x,
-                     int bins_y, double target_util) {
-  const auto n = static_cast<std::size_t>(netlist.num_cells());
-  assert(x->value.numel() == static_cast<std::int64_t>(n));
-  const double wv_x = outline.width() / bins_x;
-  const double wv_y = outline.height() / bins_y;
-  const double bin_area = wv_x * wv_y;
-  const std::size_t n_bins = static_cast<std::size_t>(bins_x) * bins_y;
-
-  auto xs = std::as_const(x->value).data();
-  auto ys = std::as_const(y->value).data();
-  auto zs = std::as_const(z->value).data();
-
-  struct CellGeom {
-    double cx, cy, wb_x, wb_y, c_norm, zt;
-    int b0x, b1x, b0y, b1y;
-    bool active;
-  };
-  auto geoms = std::make_shared<std::vector<CellGeom>>(n);
-
-  auto bin_center_x = [&](int b) { return outline.xlo + (b + 0.5) * wv_x; };
-  auto bin_center_y = [&](int b) { return outline.ylo + (b + 0.5) * wv_y; };
-
-  // Forward: accumulate per-die smoothed densities. Each cell's geometry slot
-  // is private to its chunk, but the bell potentials scatter onto shared bins,
-  // so densities go through per-chunk buffers merged in chunk order. Layout is
-  // [bot bins..., top bins...].
-  std::vector<double> density = util::parallel_reduce(
-      0, static_cast<std::int64_t>(n),
-      util::grain_for_chunks(static_cast<std::int64_t>(n), kScatterChunks),
-      std::vector<double>(2 * n_bins, 0.0),
-      [&](std::int64_t cb, std::int64_t ce, std::vector<double>& acc) {
-        for (std::int64_t i = cb; i < ce; ++i) {
-          const auto ci = static_cast<std::size_t>(i);
-          CellGeom& g = (*geoms)[ci];
-          const auto id = static_cast<CellId>(ci);
-          const CellType& t = netlist.cell_type(id);
-          g.active = netlist.is_movable(id) && t.area() > 0.0;
-          if (!g.active) continue;
-          g.wb_x = std::max(t.width * 0.5, 1e-6);
-          g.wb_y = std::max(t.height * 0.5, 1e-6);
-          g.cx = xs[ci] + t.width * 0.5;
-          g.cy = ys[ci] + t.height * 0.5;
-          g.zt = std::clamp(static_cast<double>(zs[ci]), 0.0, 1.0);
-          const double rx = 2.0 * g.wb_x + wv_x * 0.5;
-          const double ry = 2.0 * g.wb_y + wv_y * 0.5;
-          g.b0x = std::clamp(static_cast<int>((g.cx - rx - outline.xlo) / wv_x), 0, bins_x - 1);
-          g.b1x = std::clamp(static_cast<int>((g.cx + rx - outline.xlo) / wv_x), 0, bins_x - 1);
-          g.b0y = std::clamp(static_cast<int>((g.cy - ry - outline.ylo) / wv_y), 0, bins_y - 1);
-          g.b1y = std::clamp(static_cast<int>((g.cy + ry - outline.ylo) / wv_y), 0, bins_y - 1);
-          // Normalize so total potential mass equals cell area (c_v of Eq. 10).
-          double raw = 0.0;
-          for (int bx = g.b0x; bx <= g.b1x; ++bx)
-            for (int by = g.b0y; by <= g.b1y; ++by)
-              raw += bell_potential(g.cx - bin_center_x(bx), g.wb_x, wv_x) *
-                     bell_potential(g.cy - bin_center_y(by), g.wb_y, wv_y);
-          g.c_norm = raw > 1e-12 ? t.area() / raw : 0.0;
-          for (int bx = g.b0x; bx <= g.b1x; ++bx) {
-            const double px = bell_potential(g.cx - bin_center_x(bx), g.wb_x, wv_x);
-            for (int by = g.b0y; by <= g.b1y; ++by) {
-              const double py = bell_potential(g.cy - bin_center_y(by), g.wb_y, wv_y);
-              const auto bi = static_cast<std::size_t>(by) * bins_x + bx;
-              acc[bi] += g.c_norm * px * py * (1.0 - g.zt);
-              acc[n_bins + bi] += g.c_norm * px * py * g.zt;
-            }
-          }
-        }
-      },
-      add_vec);
-
-  // Penalty: mean squared utilization excess over both dies. Excess slots are
-  // per-bin (disjoint writes); the loss itself is a deterministic chunked sum.
-  auto excess = std::make_shared<std::vector<double>>(2 * n_bins, 0.0);
-  double loss = util::parallel_reduce(
-      0, static_cast<std::int64_t>(2 * n_bins), 8192, 0.0,
-      [&](std::int64_t b, std::int64_t e, double& acc) {
-        for (std::int64_t i = b; i < e; ++i) {
-          const auto bi = static_cast<std::size_t>(i);
-          const double rho = density[bi] / bin_area;
-          const double ex = std::max(rho - target_util, 0.0);
-          (*excess)[bi] = ex;
-          acc += ex * ex;
-        }
-      },
-      [](double& into, const double& from) { into += from; });
-  loss /= static_cast<double>(2 * n_bins);
-
-  auto backward = [geoms, excess, outline, bins_x, bins_y, wv_x, wv_y, bin_area,
-                   n_bins](nn::Node& node) {
-    nn::Node& px_node = *node.parents[0];
-    nn::Node& py_node = *node.parents[1];
-    nn::Node& pz_node = *node.parents[2];
-    const float g = node.grad[0];
-    const double scale = 2.0 / (static_cast<double>(2 * n_bins) * bin_area);
-
-    auto bin_center_x = [&](int b) { return outline.xlo + (b + 0.5) * wv_x; };
-    auto bin_center_y = [&](int b) { return outline.ylo + (b + 0.5) * wv_y; };
-
-    std::vector<double> gx(geoms->size(), 0.0), gy(geoms->size(), 0.0),
-        gz(geoms->size(), 0.0);
-    // Each cell reads shared excess bins but writes only its own gradient
-    // slots, so the chunks are disjoint without buffering.
-    util::parallel_for(
-        0, static_cast<std::int64_t>(geoms->size()), 256,
-        [&](std::int64_t cb, std::int64_t ce) {
-          for (std::int64_t i = cb; i < ce; ++i) {
-            const auto ci = static_cast<std::size_t>(i);
-            const CellGeom& geo = (*geoms)[ci];
-            if (!geo.active || geo.c_norm == 0.0) continue;
-            for (int bx = geo.b0x; bx <= geo.b1x; ++bx) {
-              const double dx = geo.cx - bin_center_x(bx);
-              const double pxv = bell_potential(dx, geo.wb_x, wv_x);
-              const double dpx = bell_potential_grad(dx, geo.wb_x, wv_x);
-              for (int by = geo.b0y; by <= geo.b1y; ++by) {
-                const double dy = geo.cy - bin_center_y(by);
-                const double pyv = bell_potential(dy, geo.wb_y, wv_y);
-                const double dpy = bell_potential_grad(dy, geo.wb_y, wv_y);
-                const auto bi = static_cast<std::size_t>(by) * bins_x + bx;
-                const double e_bot = (*excess)[bi];
-                const double e_top = (*excess)[n_bins + bi];
-                const double w_mix = e_bot * (1.0 - geo.zt) + e_top * geo.zt;
-                gx[ci] += scale * w_mix * geo.c_norm * dpx * pyv;
-                gy[ci] += scale * w_mix * geo.c_norm * pxv * dpy;
-                gz[ci] += scale * (e_top - e_bot) * geo.c_norm * pxv * pyv;
-              }
-            }
-          }
-        });
-    auto flush = [g](nn::Node& p, const std::vector<double>& vec) {
-      if (!p.requires_grad) return;
-      p.ensure_grad();
-      auto dst = p.grad.data();
-      for (std::size_t i = 0; i < vec.size(); ++i)
-        dst[i] += g * static_cast<float>(vec[i]);
-    };
-    flush(px_node, gx);
-    flush(py_node, gy);
-    flush(pz_node, gz);
-  };
-
-  return nn::make_node(nn::Tensor::scalar(static_cast<float>(loss)), {x, y, z},
-                       std::move(backward));
 }
 
 namespace {
@@ -480,12 +236,14 @@ BellGeom bell_geometry(const Netlist& netlist, std::size_t ci, double x,
 
 }  // namespace
 
-nn::Var overlap_loss(const Netlist& netlist, const nn::Var& x, const nn::Var& y,
-                     const std::vector<nn::Var>& p, const Rect& outline,
-                     int bins_x, int bins_y, double target_util) {
-  assert(p.size() >= 2);
-  const int K = static_cast<int>(p.size());
-  const auto n = static_cast<std::size_t>(netlist.num_cells());
+namespace {
+
+template <int K>
+nn::Var overlap_loss_k(const Netlist& netlist, const nn::Var& x,
+                       const nn::Var& y, const std::vector<nn::Var>& above,
+                       const TierState& ts, const Rect& outline, int bins_x,
+                       int bins_y, double target_util) {
+  const std::size_t n = ts.size();
   const double wv_x = outline.width() / bins_x;
   const double wv_y = outline.height() / bins_y;
   const double bin_area = wv_x * wv_y;
@@ -494,16 +252,17 @@ nn::Var overlap_loss(const Netlist& netlist, const nn::Var& x, const nn::Var& y,
 
   auto xs = std::as_const(x->value).data();
   auto ys = std::as_const(y->value).data();
-  std::vector<std::span<const float>> ps(static_cast<std::size_t>(K));
-  for (int t = 0; t < K; ++t)
-    ps[static_cast<std::size_t>(t)] =
-        std::as_const(p[static_cast<std::size_t>(t)]->value).data();
 
   auto geoms = std::make_shared<std::vector<BellGeom>>(n);
+  // Per-cell tier probabilities, cell-major: probs[i * K + t].
+  auto probs = std::make_shared<std::vector<double>>(n * static_cast<std::size_t>(K));
   auto bin_center_x = [&](int b) { return outline.xlo + (b + 0.5) * wv_x; };
   auto bin_center_y = [&](int b) { return outline.ylo + (b + 0.5) * wv_y; };
 
-  // Forward: densities laid out [tier0 bins..., tier1 bins..., ...].
+  // Forward: accumulate per-tier smoothed densities. Each cell's geometry
+  // slot is private to its chunk, but the bell potentials scatter onto
+  // shared bins, so densities go through per-chunk buffers merged in chunk
+  // order. Layout is [tier0 bins..., tier1 bins..., ...].
   std::vector<double> density = util::parallel_reduce(
       0, static_cast<std::int64_t>(n),
       util::grain_for_chunks(static_cast<std::int64_t>(n), kScatterChunks),
@@ -515,24 +274,25 @@ nn::Var overlap_loss(const Netlist& netlist, const nn::Var& x, const nn::Var& y,
           g = bell_geometry(netlist, ci, xs[ci], ys[ci], outline, bins_x,
                             bins_y, wv_x, wv_y);
           if (!g.active) continue;
+          double* p = probs->data() + ci * static_cast<std::size_t>(K);
+          ts.probs<K>(ci, p);
           for (int bx = g.b0x; bx <= g.b1x; ++bx) {
             const double px = bell_potential(g.cx - bin_center_x(bx), g.wb_x, wv_x);
             for (int by = g.b0y; by <= g.b1y; ++by) {
               const double py = bell_potential(g.cy - bin_center_y(by), g.wb_y, wv_y);
               const auto bi = static_cast<std::size_t>(by) * bins_x + bx;
-              for (int t = 0; t < K; ++t) {
-                const double pt = std::clamp(
-                    static_cast<double>(ps[static_cast<std::size_t>(t)][ci]),
-                    0.0, 1.0);
-                acc[static_cast<std::size_t>(t) * n_bins + bi] +=
-                    g.c_norm * px * py * pt;
-              }
+              const double mass = g.c_norm * px * py;
+              for (int t = 0; t < K; ++t)
+                acc[static_cast<std::size_t>(t) * n_bins + bi] += mass * p[t];
             }
           }
         }
       },
       add_vec);
 
+  // Penalty: mean squared utilization excess over all tiers. Excess slots
+  // are per-bin (disjoint writes); the loss itself is a deterministic
+  // chunked sum.
   auto excess = std::make_shared<std::vector<double>>(all_bins, 0.0);
   double loss = util::parallel_reduce(
       0, static_cast<std::int64_t>(all_bins), 8192, 0.0,
@@ -548,21 +308,22 @@ nn::Var overlap_loss(const Netlist& netlist, const nn::Var& x, const nn::Var& y,
       [](double& into, const double& from) { into += from; });
   loss /= static_cast<double>(all_bins);
 
-  auto backward = [geoms, excess, outline, bins_x, bins_y, wv_x, wv_y, bin_area,
-                   n_bins, K](nn::Node& node) {
+  auto backward = [geoms, probs, excess, outline, bins_x, bins_y, wv_x, wv_y,
+                   bin_area, n_bins, all_bins](nn::Node& node) {
     nn::Node& px_node = *node.parents[0];
     nn::Node& py_node = *node.parents[1];
     const float g = node.grad[0];
-    const double scale =
-        2.0 / (static_cast<double>(K) * static_cast<double>(n_bins) * bin_area);
+    const double scale = 2.0 / (static_cast<double>(all_bins) * bin_area);
 
     auto bin_center_x = [&](int b) { return outline.xlo + (b + 0.5) * wv_x; };
     auto bin_center_y = [&](int b) { return outline.ylo + (b + 0.5) * wv_y; };
 
     const auto n = geoms->size();
-    std::vector<double> gx(n, 0.0), gy(n, 0.0);
-    std::vector<std::vector<double>> gp(static_cast<std::size_t>(K),
-                                        std::vector<double>(n, 0.0));
+    // Survival gradients, boundary-major: ga[j * n + i].
+    std::vector<double> gx(n, 0.0), gy(n, 0.0),
+        ga(static_cast<std::size_t>(K - 1) * n, 0.0);
+    // Each cell reads shared excess bins but writes only its own gradient
+    // slots, so the chunks are disjoint without buffering.
     util::parallel_for(
         0, static_cast<std::int64_t>(n), 256,
         [&](std::int64_t cb, std::int64_t ce) {
@@ -570,6 +331,7 @@ nn::Var overlap_loss(const Netlist& netlist, const nn::Var& x, const nn::Var& y,
             const auto ci = static_cast<std::size_t>(i);
             const BellGeom& geo = (*geoms)[ci];
             if (!geo.active || geo.c_norm == 0.0) continue;
+            const double* p = probs->data() + ci * static_cast<std::size_t>(K);
             for (int bx = geo.b0x; bx <= geo.b1x; ++bx) {
               const double dx = geo.cx - bin_center_x(bx);
               const double pxv = bell_potential(dx, geo.wb_x, wv_x);
@@ -579,18 +341,17 @@ nn::Var overlap_loss(const Netlist& netlist, const nn::Var& x, const nn::Var& y,
                 const double pyv = bell_potential(dy, geo.wb_y, wv_y);
                 const double dpy = bell_potential_grad(dy, geo.wb_y, wv_y);
                 const auto bi = static_cast<std::size_t>(by) * bins_x + bx;
-                double w_mix = 0.0;
-                for (int t = 0; t < K; ++t) {
-                  const double e_t =
-                      (*excess)[static_cast<std::size_t>(t) * n_bins + bi];
-                  const double pt = std::clamp(
-                      static_cast<double>(
-                          node.parents[static_cast<std::size_t>(2 + t)]
-                              ->value[static_cast<std::int64_t>(ci)]),
-                      0.0, 1.0);
-                  w_mix += e_t * pt;
-                  gp[static_cast<std::size_t>(t)][ci] +=
-                      scale * e_t * geo.c_norm * pxv * pyv;
+                // w_mix = sum_t e_t p_t (tier 0 first); boundary j sees
+                // e_{j+1} - e_j.
+                double e_lo = (*excess)[bi];
+                double w_mix = e_lo * p[0];
+                for (int j = 0; j + 1 < K; ++j) {
+                  const double e_hi =
+                      (*excess)[static_cast<std::size_t>(j + 1) * n_bins + bi];
+                  w_mix += e_hi * p[j + 1];
+                  ga[static_cast<std::size_t>(j) * n + ci] +=
+                      scale * (e_hi - e_lo) * geo.c_norm * pxv * pyv;
+                  e_lo = e_hi;
                 }
                 gx[ci] += scale * w_mix * geo.c_norm * dpx * pyv;
                 gy[ci] += scale * w_mix * geo.c_norm * pxv * dpy;
@@ -598,34 +359,48 @@ nn::Var overlap_loss(const Netlist& netlist, const nn::Var& x, const nn::Var& y,
             }
           }
         });
-    auto flush = [g](nn::Node& pnode, const std::vector<double>& vec) {
+    auto flush = [g](nn::Node& pnode, const double* vec, std::size_t len) {
       if (!pnode.requires_grad) return;
       pnode.ensure_grad();
       auto dst = pnode.grad.data();
-      for (std::size_t i = 0; i < vec.size(); ++i)
+      for (std::size_t i = 0; i < len; ++i)
         dst[i] += g * static_cast<float>(vec[i]);
     };
-    flush(px_node, gx);
-    flush(py_node, gy);
-    for (int t = 0; t < K; ++t)
-      flush(*node.parents[static_cast<std::size_t>(2 + t)],
-            gp[static_cast<std::size_t>(t)]);
+    flush(px_node, gx.data(), n);
+    flush(py_node, gy.data(), n);
+    for (int j = 0; j + 1 < K; ++j)
+      flush(*node.parents[static_cast<std::size_t>(2 + j)],
+            ga.data() + static_cast<std::size_t>(j) * n, n);
   };
 
   std::vector<nn::Var> parents = {x, y};
-  parents.insert(parents.end(), p.begin(), p.end());
+  parents.insert(parents.end(), above.begin(), above.end());
   return nn::make_node(nn::Tensor::scalar(static_cast<float>(loss)), parents,
                        std::move(backward));
 }
 
+}  // namespace
+
+nn::Var overlap_loss(const Netlist& netlist, const nn::Var& x, const nn::Var& y,
+                     const std::vector<nn::Var>& above, const Rect& outline,
+                     int bins_x, int bins_y, double target_util) {
+  const auto n = static_cast<std::size_t>(netlist.num_cells());
+  assert(x->value.numel() == static_cast<std::int64_t>(n));
+  const TierState ts(above, n);
+  return with_tier_count(ts.num_tiers(), [&](auto k) {
+    return overlap_loss_k<decltype(k)::value>(netlist, x, y, above, ts, outline,
+                                              bins_x, bins_y, target_util);
+  });
+}
+
 nn::Var thermal_density_loss(const Netlist& netlist, const nn::Var& x,
-                             const nn::Var& y, const std::vector<nn::Var>& p,
+                             const nn::Var& y, const std::vector<nn::Var>& above,
                              const nn::Tensor& cell_power, const Rect& outline,
                              int bins_x, int bins_y) {
-  assert(p.size() >= 2);
-  const int K = static_cast<int>(p.size());
   const auto n = static_cast<std::size_t>(netlist.num_cells());
   assert(cell_power.numel() == static_cast<std::int64_t>(n));
+  const TierState ts(above, n);
+  const int K = ts.num_tiers();
   const double wv_x = outline.width() / bins_x;
   const double wv_y = outline.height() / bins_y;
   const double bin_area = wv_x * wv_y;
@@ -633,21 +408,15 @@ nn::Var thermal_density_loss(const Netlist& netlist, const nn::Var& x,
 
   auto xs = std::as_const(x->value).data();
   auto ys = std::as_const(y->value).data();
-  std::vector<std::span<const float>> ps(static_cast<std::size_t>(K));
-  for (int t = 0; t < K; ++t)
-    ps[static_cast<std::size_t>(t)] =
-        std::as_const(p[static_cast<std::size_t>(t)]->value).data();
 
-  // Expected tier-depth weight per cell: depth_i = sum_t (t+1)/K * p_t(i).
+  // Expected tier-depth weight per cell: depth_i = E[T_i + 1] / K =
+  // (1 + sum_j above_j(i)) / K.
   auto depth = std::make_shared<std::vector<double>>(n, 0.0);
   auto power = std::make_shared<std::vector<double>>(n, 0.0);
   for (std::size_t ci = 0; ci < n; ++ci) {
-    double d = 0.0;
-    for (int t = 0; t < K; ++t)
-      d += (static_cast<double>(t) + 1.0) / static_cast<double>(K) *
-           std::clamp(static_cast<double>(ps[static_cast<std::size_t>(t)][ci]),
-                      0.0, 1.0);
-    (*depth)[ci] = d;
+    double d = 1.0;
+    for (int j = 0; j + 1 < K; ++j) d += ts.above(j, ci);
+    (*depth)[ci] = d / static_cast<double>(K);
     (*power)[ci] = static_cast<double>(cell_power[static_cast<std::int64_t>(ci)]);
   }
 
@@ -734,34 +503,29 @@ nn::Var thermal_density_loss(const Netlist& netlist, const nn::Var& x,
     };
     flush(px_node, gx);
     flush(py_node, gy);
-    // d(depth_i)/dp_t(i) = (t+1)/K.
-    for (int t = 0; t < K; ++t) {
-      nn::Node& pt = *node.parents[static_cast<std::size_t>(2 + t)];
-      if (!pt.requires_grad) continue;
-      pt.ensure_grad();
-      auto dst = pt.grad.data();
-      const double wt = (static_cast<double>(t) + 1.0) / static_cast<double>(K);
+    // d(depth_i)/d above_j(i) = 1/K.
+    const double wt = 1.0 / static_cast<double>(K);
+    for (int j = 0; j + 1 < K; ++j) {
+      nn::Node& pj = *node.parents[static_cast<std::size_t>(2 + j)];
+      if (!pj.requires_grad) continue;
+      pj.ensure_grad();
+      auto dst = pj.grad.data();
       for (std::size_t i = 0; i < n; ++i)
         dst[i] += g * static_cast<float>(gd[i] * wt);
     }
   };
 
   std::vector<nn::Var> parents = {x, y};
-  parents.insert(parents.end(), p.begin(), p.end());
+  parents.insert(parents.end(), above.begin(), above.end());
   return nn::make_node(nn::Tensor::scalar(static_cast<float>(loss)), parents,
                        std::move(backward));
 }
 
-nn::Var congestion_loss(const nn::SiameseUNet& model, const SoftMaps& maps) {
-  if (maps.num_tiers == 2) {
-    auto [c_top, c_bot] = model.forward(maps.top(), maps.bottom());
-    nn::Var zero_t = nn::make_leaf(nn::Tensor(c_top->value.shape()));
-    nn::Var zero_b = nn::make_leaf(nn::Tensor(c_bot->value.shape()));
-    return nn::siamese_loss(c_top, zero_t, c_bot, zero_b);
-  }
-  std::vector<nn::Var> f;
-  f.reserve(static_cast<std::size_t>(maps.num_tiers));
-  for (int t = 0; t < maps.num_tiers; ++t) f.push_back(maps.tier(t));
+namespace {
+
+/// Eq. (4) against all-zero targets over one feature stack per tier.
+nn::Var zero_target_loss(const nn::SiameseUNet& model,
+                         const std::vector<nn::Var>& f) {
   std::vector<nn::Var> preds = model.forward_n(f);
   std::vector<nn::Var> zeros;
   zeros.reserve(preds.size());
@@ -770,25 +534,21 @@ nn::Var congestion_loss(const nn::SiameseUNet& model, const SoftMaps& maps) {
   return nn::siamese_loss_n(preds, zeros);
 }
 
+}  // namespace
+
+nn::Var congestion_loss(const nn::SiameseUNet& model, const SoftMaps& maps) {
+  std::vector<nn::Var> f;
+  f.reserve(static_cast<std::size_t>(maps.num_tiers));
+  for (int t = 0; t < maps.num_tiers; ++t) f.push_back(maps.tier(t));
+  return zero_target_loss(model, f);
+}
+
 nn::Var congestion_loss(const Predictor& predictor, const SoftMaps& maps) {
-  if (maps.num_tiers == 2) {
-    auto [c_top, c_bot] =
-        predictor.model->forward(predictor.normalize_features(maps.top()),
-                                 predictor.normalize_features(maps.bottom()));
-    nn::Var zero_t = nn::make_leaf(nn::Tensor(c_top->value.shape()));
-    nn::Var zero_b = nn::make_leaf(nn::Tensor(c_bot->value.shape()));
-    return nn::siamese_loss(c_top, zero_t, c_bot, zero_b);
-  }
   std::vector<nn::Var> f;
   f.reserve(static_cast<std::size_t>(maps.num_tiers));
   for (int t = 0; t < maps.num_tiers; ++t)
     f.push_back(predictor.normalize_features(maps.tier(t)));
-  std::vector<nn::Var> preds = predictor.model->forward_n(f);
-  std::vector<nn::Var> zeros;
-  zeros.reserve(preds.size());
-  for (const nn::Var& c : preds)
-    zeros.push_back(nn::make_leaf(nn::Tensor(c->value.shape())));
-  return nn::siamese_loss_n(preds, zeros);
+  return zero_target_loss(*predictor.model, f);
 }
 
 }  // namespace dco3d

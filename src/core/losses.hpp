@@ -1,7 +1,7 @@
 #pragma once
 // The differentiable loss functions of §IV:
 //   * displacement loss (Eq. 11) — keep cells near their optimized 2D spots,
-//   * cutsize loss (Eq. 7) — normalized expected cut under soft z,
+//   * cutsize loss (Eq. 7) — normalized expected cut under the soft tiers,
 //   * overlap loss (Eq. 8-10) — bell-shaped smoothed density,
 //   * congestion loss — RMS of the Siamese UNet's predicted congestion.
 
@@ -22,55 +22,61 @@ nn::Var displacement_loss(const nn::Var& x, const nn::Var& y,
                           const nn::Tensor& x0, const nn::Tensor& y0,
                           const Rect& outline);
 
-/// Soft cutsize loss (Eq. 7) over the cell graph: the expected number of cut
-/// edges normalized by the expected per-die connectivity,
-///   L = cut/deg(T) + cut/deg(B),
-/// with cut = sum_(u,v) [z_u(1-z_v) + z_v(1-z_u)], deg(T) = sum_u deg_u z_u.
-/// Implemented as a custom autograd node with analytic gradients in z.
-nn::Var cutsize_loss(const nn::Var& z,
+// The tier-relaxed losses take a soft tier state in survival form: K-1
+// vectors above[j][i] = P(T_i > j) (grid/soft_maps.hpp), with the tier
+// probabilities p_t derived in double inside each op. The classic two-die
+// stack is K = 2 with above = {z}, z the soft top-die probability; the
+// single-z overloads forward to that case.
+
+/// Soft cutsize loss (Eq. 7) over the cell graph: the expected inter-tier
+/// cut normalized by the expected per-tier connectivity,
+///   L = sum_t cut/deg(t),   deg(t) = sum_u deg_u p_t(u),
+/// where an edge (u, v) crosses boundary j with probability
+/// G_u(1-G_v) + G_v(1-G_u), G = above[j] — so cut is the expected tier
+/// distance E|T_u - T_v| and a move across two boundaries costs two via
+/// stacks. At K = 2: cut = sum_(u,v) [z_u(1-z_v) + z_v(1-z_u)] and L =
+/// cut/deg(T) + cut/deg(B). A custom autograd node with analytic gradients.
+nn::Var cutsize_loss(const std::vector<nn::Var>& above,
                      std::shared_ptr<const std::vector<std::pair<std::int64_t, std::int64_t>>> edges);
+inline nn::Var cutsize_loss(
+    const nn::Var& z,
+    std::shared_ptr<const std::vector<std::pair<std::int64_t, std::int64_t>>> edges) {
+  return cutsize_loss(std::vector<nn::Var>{z}, std::move(edges));
+}
 
-/// K-tier cutsize: p holds per-tier probability vectors (p[t][i] = P(cell i
-/// on tier t)). The expected inter-tier cut of an edge is the expected tier
-/// distance E|T_u - T_v| = sum_j [F_u(j) + F_v(j) - 2 F_u(j) F_v(j)] over
-/// the K-1 tier boundaries (F = the tier CDF) — so a move across two
-/// boundaries costs two via stacks. Normalized by sum_t cut/deg(t); reduces
-/// exactly to the two-die form at K = 2. Analytic gradients in every p[t].
-nn::Var cutsize_loss(const std::vector<nn::Var>& p,
-                     std::shared_ptr<const std::vector<std::pair<std::int64_t, std::int64_t>>> edges);
-
-/// Overlap (density) loss, Eq. (8)-(10): per-die bin densities accumulated
-/// through the bell-shaped potentials p_x p_y with the paper's a, b smoothing
-/// constants; the penalty is the mean squared excess over `target_util`.
-/// Differentiable in x, y (through the potentials) and z (tier weights).
+/// Overlap (density) loss, Eq. (8)-(10): per-tier bin densities accumulated
+/// through the bell-shaped potentials p_x p_y with the paper's a, b
+/// smoothing constants, each cell weighted by its tier probabilities; the
+/// penalty is the mean squared excess over `target_util` across all K * bins
+/// bins. Differentiable in x, y (through the potentials) and the tier state.
 nn::Var overlap_loss(const Netlist& netlist, const nn::Var& x, const nn::Var& y,
-                     const nn::Var& z, const Rect& outline, int bins_x,
-                     int bins_y, double target_util);
-
-/// K-tier overlap loss: per-tier bin densities weighted by the tier
-/// probabilities p[t]; penalty is the mean squared excess over all K * bins
-/// bins. Reduces to the two-die form at K = 2 with p = {1-z, z}.
-nn::Var overlap_loss(const Netlist& netlist, const nn::Var& x, const nn::Var& y,
-                     const std::vector<nn::Var>& p, const Rect& outline,
+                     const std::vector<nn::Var>& above, const Rect& outline,
                      int bins_x, int bins_y, double target_util);
+inline nn::Var overlap_loss(const Netlist& netlist, const nn::Var& x,
+                            const nn::Var& y, const nn::Var& z,
+                            const Rect& outline, int bins_x, int bins_y,
+                            double target_util) {
+  return overlap_loss(netlist, x, y, std::vector<nn::Var>{z}, outline, bins_x,
+                      bins_y, target_util);
+}
 
 /// Thermal-density loss (optional channel for stacked dies): per-cell power
 /// is scattered through the same bell potentials as the overlap loss, each
-/// cell weighted by its expected tier depth sum_t w_t p_t with w_t =
-/// (t + 1)/K — tiers farther from the tier-0 heat sink count more. The
-/// penalty is the mean squared depth-weighted power density, so gradient
-/// descent both spreads hot cells laterally and pulls them toward the heat
-/// sink. Differentiable in x, y and every p[t]. `cell_power` is a [N] tensor
+/// cell weighted by its expected tier depth E[T+1]/K = (1 + sum_j above_j)/K
+/// — tiers farther from the tier-0 heat sink count more. The penalty is the
+/// mean squared depth-weighted power density, so gradient descent both
+/// spreads hot cells laterally and pulls them toward the heat sink.
+/// Differentiable in x, y and the tier state. `cell_power` is a [N] tensor
 /// of per-cell power (mW).
 nn::Var thermal_density_loss(const Netlist& netlist, const nn::Var& x,
-                             const nn::Var& y, const std::vector<nn::Var>& p,
+                             const nn::Var& y, const std::vector<nn::Var>& above,
                              const nn::Tensor& cell_power, const Rect& outline,
                              int bins_x, int bins_y);
 
 /// Congestion loss: Eq. (4) against an all-zero target — the RMS of the
 /// predicted post-route congestion of every tier, backpropagated through the
-/// frozen Siamese UNet and the soft feature maps (Eq. 5/6 chain). K > 2 maps
-/// run through the N-way forward.
+/// frozen Siamese UNet and the soft feature maps (Eq. 5/6 chain), one
+/// prediction per tier through the N-way forward.
 nn::Var congestion_loss(const nn::SiameseUNet& model, const SoftMaps& maps);
 
 /// Same, but routed through a trained Predictor so the soft maps receive the

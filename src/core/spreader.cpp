@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/features.hpp"
+#include "grid/soft_maps.hpp"
 #include "nn/ops.hpp"
 
 namespace dco3d {
@@ -24,34 +25,24 @@ GnnSpreader::GnnSpreader(const Netlist& netlist, const Placement3D& initial,
   x0_ = nn::Tensor({n});
   y0_ = nn::Tensor({n});
   mask_ = nn::Tensor({n});
-  fixed_tier_ = nn::Tensor({n});
-  tier_bias_ = nn::Tensor({n});
+  const auto boundaries = static_cast<std::size_t>(num_tiers_ - 1);
+  stick_bias_.assign(boundaries, nn::Tensor({n}));
+  hard_above_.assign(boundaries, nn::Tensor({n}));
+  fixed_above_.assign(boundaries, nn::Tensor({n}));
   for (std::int64_t i = 0; i < n; ++i) {
     const auto ci = static_cast<std::size_t>(i);
-    const auto id = static_cast<CellId>(i);
     x0_[i] = static_cast<float>(initial.xy[ci].x);
     y0_[i] = static_cast<float>(initial.xy[ci].y);
-    const bool movable = netlist.is_movable(id);
+    const bool movable = netlist.is_movable(static_cast<CellId>(i));
     mask_[i] = movable ? 1.0f : 0.0f;
-    fixed_tier_[i] = initial.tier[ci] ? 1.0f : 0.0f;
-    // Bias the soft z toward the initial FM assignment so optimization
-    // starts from the Pin-3D tier partition rather than 50/50.
-    tier_bias_[i] = initial.tier[ci] ? 1.2f : -1.2f;
-  }
-  if (num_tiers_ > 2) {
-    // Stick j decides P(T > j | T >= j): bias each stick so the product
-    // chain peaks at the cell's initial tier.
-    stick_bias_.assign(static_cast<std::size_t>(num_tiers_ - 1), nn::Tensor({n}));
-    fixed_onehot_.assign(static_cast<std::size_t>(num_tiers_), nn::Tensor({n}));
-    init_tier_.resize(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      const auto ci = static_cast<std::size_t>(i);
-      const int tier = std::clamp(initial.tier[ci], 0, num_tiers_ - 1);
-      init_tier_[ci] = tier;
-      for (int j = 0; j + 1 < num_tiers_; ++j)
-        stick_bias_[static_cast<std::size_t>(j)][i] = j < tier ? 1.2f : -1.2f;
-      if (!netlist.is_movable(static_cast<CellId>(i)))
-        fixed_onehot_[static_cast<std::size_t>(tier)][i] = 1.0f;
+    const int tier = std::clamp(initial.tier[ci], 0, num_tiers_ - 1);
+    for (std::size_t j = 0; j < boundaries; ++j) {
+      const bool above = tier > static_cast<int>(j);
+      // Bias each stick so the chain starts at the cell's initial tier (the
+      // Pin-3D partition) rather than at a uniform split.
+      stick_bias_[j][i] = above ? 1.2f : -1.2f;
+      hard_above_[j][i] = above ? 1.0f : 0.0f;
+      fixed_above_[j][i] = (1.0f - mask_[i]) * hard_above_[j][i];
     }
   }
 }
@@ -74,68 +65,34 @@ SpreaderOutput GnnSpreader::forward(const nn::Var& features) const {
   so.x = nn::add(x0, dx);
   so.y = nn::add(y0, dy);
 
-  if (num_tiers_ > 2) {
-    if (cfg_.freeze_tier) {
-      // 2D ablation: every cell keeps its input tier (hard one-hot p).
-      so.p.reserve(static_cast<std::size_t>(num_tiers_));
-      for (int t = 0; t < num_tiers_; ++t) {
-        nn::Tensor hard(mask_.shape());
-        for (std::int64_t i = 0; i < hard.numel(); ++i)
-          hard[i] = init_tier_[static_cast<std::size_t>(i)] == t ? 1.0f : 0.0f;
-        so.p.push_back(nn::make_leaf(hard));
-      }
-      return so;
-    }
-    // Stick-breaking relaxation: s_j = sigmoid(logit_j + bias_j) is the
-    // survival odds past boundary j; S_j = prod_{q<=j} s_q; p_0 = 1 - S_0,
-    // p_t = S_{t-1} - S_t, p_{K-1} = S_{K-2}. At K = 2 this is exactly the
-    // single-sigmoid z (p_1 = sigmoid(logit + bias)).
-    std::vector<nn::Var> survival(static_cast<std::size_t>(num_tiers_ - 1));
-    for (int j = 0; j + 1 < num_tiers_; ++j) {
-      nn::Var s = nn::sigmoid(
-          nn::add(nn::select_column(out, 2 + j),
-                  nn::make_leaf(stick_bias_[static_cast<std::size_t>(j)])));
-      survival[static_cast<std::size_t>(j)] =
-          j == 0 ? s : nn::mul(survival[static_cast<std::size_t>(j - 1)], s);
-    }
-    so.p.resize(static_cast<std::size_t>(num_tiers_));
-    for (int t = 0; t < num_tiers_; ++t) {
-      nn::Var soft;
-      if (t == 0) {
-        soft = nn::add_scalar(nn::mul_scalar(survival[0], -1.0f), 1.0f);
-      } else if (t == num_tiers_ - 1) {
-        soft = survival[static_cast<std::size_t>(t - 1)];
-      } else {
-        soft = nn::sub(survival[static_cast<std::size_t>(t - 1)],
-                       survival[static_cast<std::size_t>(t)]);
-      }
-      // Pin fixed cells to their hard one-hot tier.
-      nn::Var masked = nn::mul(soft, mask);
-      so.p[static_cast<std::size_t>(t)] = nn::add(
-          masked, nn::make_leaf(fixed_onehot_[static_cast<std::size_t>(t)]));
-    }
-    return so;
-  }
-
+  const auto boundaries = static_cast<std::size_t>(num_tiers_ - 1);
+  so.above.resize(boundaries);
   if (cfg_.freeze_tier) {
-    // 2D ablation: every cell keeps its input tier (hard 0/1 z).
-    so.z = nn::make_leaf(fixed_tier_);
-    return so;
+    // 2D ablation: every cell keeps its input tier (hard 0/1 survival).
+    for (std::size_t j = 0; j < boundaries; ++j)
+      so.above[j] = nn::make_leaf(hard_above_[j]);
+  } else {
+    // Stick-breaking relaxation: s_j = sigmoid(logit_j + bias_j) is the odds
+    // of passing boundary j given T >= j, and above_j = prod_{q<=j} s_q; at
+    // K = 2, above_0 is the single-sigmoid z. Fixed cells are pinned to
+    // their hard values.
+    nn::Var survival;
+    for (std::size_t j = 0; j < boundaries; ++j) {
+      nn::Var s = nn::sigmoid(nn::add(
+          nn::select_column(out, 2 + static_cast<std::int64_t>(j)),
+          nn::make_leaf(stick_bias_[j])));
+      survival = j == 0 ? s : nn::mul(survival, s);
+      so.above[j] =
+          nn::add(nn::mul(survival, mask), nn::make_leaf(fixed_above_[j]));
+    }
   }
-  // z: sigmoid with an initial-tier logit bias; fixed cells pinned hard.
-  nn::Var z_soft =
-      nn::sigmoid(nn::add(nn::select_column(out, 2), nn::make_leaf(tier_bias_)));
-  nn::Var z_masked = nn::mul(z_soft, mask);
-  // (1 - mask) * fixed_tier for the pinned cells.
-  nn::Tensor inv_mask(mask_.shape());
-  for (std::int64_t i = 0; i < inv_mask.numel(); ++i)
-    inv_mask[i] = (1.0f - mask_[i]) * fixed_tier_[i];
-  so.z = nn::add(z_masked, nn::make_leaf(inv_mask));
+  so.z = so.above[0];
   return so;
 }
 
 void GnnSpreader::commit(const SpreaderOutput& out, Placement3D& placement) const {
   const auto n = static_cast<std::size_t>(netlist_.num_cells());
+  const TierState ts(out.above, n);
   for (std::size_t ci = 0; ci < n; ++ci) {
     const auto id = static_cast<CellId>(ci);
     if (!netlist_.is_movable(id)) continue;
@@ -143,18 +100,14 @@ void GnnSpreader::commit(const SpreaderOutput& out, Placement3D& placement) cons
                                     outline_.xlo, outline_.xhi);
     placement.xy[ci].y = std::clamp(static_cast<double>(out.y->value[static_cast<std::int64_t>(ci)]),
                                     outline_.ylo, outline_.yhi);
-    if (num_tiers_ > 2) {
-      // Hard tier assignment: most probable tier (ties to the lowest).
-      int best = 0;
-      for (int t = 1; t < num_tiers_; ++t)
-        if (out.p[static_cast<std::size_t>(t)]->value[static_cast<std::int64_t>(ci)] >
-            out.p[static_cast<std::size_t>(best)]->value[static_cast<std::int64_t>(ci)])
-          best = t;
-      placement.tier[ci] = best;
-    } else {
-      // Hard tier assignment: z >= 0.5 -> top die (§IV-A).
-      placement.tier[ci] = out.z->value[static_cast<std::int64_t>(ci)] >= 0.5f ? 1 : 0;
-    }
+    // Hard tier assignment: the most probable tier, ties to the higher one
+    // (z >= 0.5 -> top die at K = 2, §IV-A).
+    double p[kMaxTiers];
+    ts.probs(ci, p);
+    int best = 0;
+    for (int t = 1; t < num_tiers_; ++t)
+      if (p[t] >= p[best]) best = t;
+    placement.tier[ci] = best;
   }
 }
 

@@ -1,10 +1,12 @@
 #pragma once
 // GNN-based 3D cell spreader (§IV-A): three shared-weight GCN layers over
 // the netlist graph predict, per cell, a bounded (dx, dy) refinement of the
-// 2D position and a soft tier probability z in [0, 1] (probability of the
-// top die). Optimizing the GNN's weights instead of raw per-cell coordinates
-// keeps the parameter count independent of design size and lets connected
-// cells move coherently.
+// 2D position and a soft tier state in survival form: K-1 stick logits give
+// above[j] = P(T > j) through a stick-breaking chain (grid/soft_maps.hpp).
+// At K = 2 this is the paper's single soft z in [0, 1], the probability of
+// the top die. Optimizing the GNN's weights instead of raw per-cell
+// coordinates keeps the parameter count independent of design size and lets
+// connected cells move coherently.
 
 #include <memory>
 
@@ -28,11 +30,9 @@ struct SpreaderConfig {
 struct SpreaderOutput {
   nn::Var x;  // [N] absolute x
   nn::Var y;  // [N] absolute y
-  nn::Var z;  // [N] soft top-die probability (two-tier stacks only)
-  // K > 2 stacks: per-tier probability vectors from the stick-breaking
-  // relaxation, p[t][i] = P(cell i on tier t), summing to 1 per cell. Empty
-  // for the classic two-tier path (which uses z).
-  std::vector<nn::Var> p;
+  // K-1 survival vectors above[j][i] = P(cell i on a tier > j).
+  std::vector<nn::Var> above;
+  nn::Var z;  // = above[0]: the soft top-die probability at K = 2
 };
 
 class GnnSpreader {
@@ -46,9 +46,9 @@ class GnnSpreader {
   std::vector<nn::Var> parameters() const { return gcn_.parameters(); }
   const std::shared_ptr<const nn::Csr>& adjacency() const { return adj_; }
 
-  /// Write the hard assignment (z >= 0.5 -> top die for two tiers, argmax
-  /// over p otherwise) of an output back into a placement, clamping
-  /// positions into the outline.
+  /// Write the hard assignment (the most probable tier, ties to the higher
+  /// tier: z >= 0.5 -> top die at K = 2) of an output back into a placement,
+  /// clamping positions into the outline.
   void commit(const SpreaderOutput& out, Placement3D& placement) const;
 
   int num_tiers() const { return num_tiers_; }
@@ -61,13 +61,12 @@ class GnnSpreader {
   std::shared_ptr<const nn::Csr> adj_;
   nn::Tensor x0_, y0_;      // initial positions
   nn::Tensor mask_;         // 1 for movable cells
-  nn::Tensor fixed_tier_;   // hard z for fixed cells (two-tier path)
-  nn::Tensor tier_bias_;    // +/- logit bias toward the initial tier
-  // K > 2: per-boundary stick biases [K-1 x N] and fixed one-hot tier
-  // probabilities [K x N] for pinned cells.
+  // Per boundary j (K-1 each): +/- stick logit bias toward the initial tier,
+  // the hard survival value [tier > j] of every cell, and its (1 - mask)
+  // share that pins fixed cells.
   std::vector<nn::Tensor> stick_bias_;
-  std::vector<nn::Tensor> fixed_onehot_;
-  std::vector<int> init_tier_;
+  std::vector<nn::Tensor> hard_above_;
+  std::vector<nn::Tensor> fixed_above_;
   Rect outline_;
 };
 

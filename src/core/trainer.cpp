@@ -77,13 +77,6 @@ std::vector<nn::Tensor> Predictor::predict(const DataSample& sample) const {
   return out;
 }
 
-void Predictor::predict(const DataSample& sample, nn::Tensor out[2]) const {
-  assert(sample.num_tiers() == 2);
-  std::vector<nn::Tensor> maps = predict(sample);
-  out[0] = std::move(maps[0]);
-  out[1] = std::move(maps[1]);
-}
-
 Predictor train_predictor(const std::vector<DataSample>& dataset,
                           const TrainConfig& cfg) {
   Rng rng(cfg.seed);

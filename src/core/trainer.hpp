@@ -63,8 +63,6 @@ struct Predictor {
   /// Predict congestion maps (label scale restored) for a sample's features,
   /// one map per tier (index 0 = bottom).
   std::vector<nn::Tensor> predict(const DataSample& sample) const;
-  /// Two-die convenience overload over the same path.
-  void predict(const DataSample& sample, nn::Tensor out[2]) const;
 
   /// Normalize a raw [1,7,H,W] feature tensor (copy).
   nn::Tensor normalize_features(const nn::Tensor& f) const;

@@ -118,6 +118,10 @@ RouteResult read_route_file(const fs::path& path) {
   RouteResult r;
   if (!(is >> word >> r.num_tiers) || word != "tiers" || r.num_tiers < 1)
     fail_data("expected tiers");
+  if (r.num_tiers > kMaxTiers)
+    throw StatusError(Status::invalid_argument(
+        "flow_artifact: tiers must be at most " + std::to_string(kMaxTiers) +
+        " (got " + std::to_string(r.num_tiers) + ")"));
   if (!(is >> word) || word != "scalars") fail_data("expected scalars");
   if (!(is >> r.total_overflow >> r.h_overflow >> r.v_overflow >>
         r.ovf_gcell_pct >> r.wirelength >> r.num_3d_vias))

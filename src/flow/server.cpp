@@ -502,7 +502,9 @@ std::string Server::handle_submit(const JsonObject& req, int fd) {
   spec.kind = util::json_str(req, "kind", spec.kind);
   spec.scale = util::json_num(req, "scale", spec.scale);
   spec.grid = static_cast<int>(util::json_num(req, "grid", spec.grid));
-  spec.tiers = static_cast<int>(util::json_num(req, "tiers", spec.tiers));
+  // Clamped before the cast so any out-of-range count is rejected below.
+  spec.tiers = static_cast<int>(std::clamp(
+      util::json_num(req, "tiers", spec.tiers), 0.0, kMaxTiers + 1.0));
   spec.clock_ps = util::json_num(req, "clock_ps", spec.clock_ps);
   spec.seed = static_cast<std::uint64_t>(util::json_num(req, "seed", 1.0));
   spec.stop_after = util::json_str(req, "stop_after", "");
@@ -526,8 +528,9 @@ std::string Server::handle_submit(const JsonObject& req, int fd) {
         }() +
         ")");
   if (spec.grid < 4) kind_err = Status::invalid_argument("grid must be >= 4");
-  if (spec.tiers < 2)
-    kind_err = Status::invalid_argument("tiers must be >= 2");
+  if (spec.tiers < 2 || spec.tiers > kMaxTiers)
+    kind_err = Status::invalid_argument("tiers must be in [2, " +
+                                        std::to_string(kMaxTiers) + "]");
   if (spec.scale <= 0.0)
     kind_err = Status::invalid_argument("scale must be > 0");
   if (!kind_err.ok()) {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "nn/simd/simd.hpp"
@@ -26,30 +27,37 @@ struct NetGeom {
   bool clamped_y = false;
   std::size_t argmin_x = 0, argmax_x = 0, argmin_y = 0, argmax_y = 0;  // pin idx
   double k = 0.0;     // 1/w + 1/h on the effective bbox
-  double prod_top = 1.0, prod_bot = 1.0;
+  double prod[kMaxTiers];  // per-tier product of the pins' tier probabilities
+  double w3d = 0.0;   // 3D weight 1 - sum_t prod[t]
 };
 
 struct PinPos {
   CellId cell;
-  double px, py;  // absolute pin position
-  double z;       // soft top-die probability of the owning cell
+  double px, py;         // absolute pin position
+  double p[kMaxTiers];   // tier probabilities of the owning cell
 };
 
-/// Gather pins of a net with positions/z from the coordinate vectors. Stored
-/// pin order is driver-first, preserving the legacy argmin/argmax indices.
+/// Gather pins of a net with positions and tier probabilities. Stored pin
+/// order is driver-first, preserving the legacy argmin/argmax indices.
+template <int K>
 void collect_pins(const Netlist& nl, NetId ni, std::span<const float> x,
-                  std::span<const float> y, std::span<const float> z,
+                  std::span<const float> y, const TierState& ts,
                   std::vector<PinPos>& pins) {
   pins.clear();
   for (const Pin& p : nl.net_pins(ni)) {
     const auto c = static_cast<std::size_t>(p.cell);
-    pins.push_back({p.cell, x[c] + p.offset.x, y[c] + p.offset.y,
-                    std::clamp(static_cast<double>(z[c]), 0.0, 1.0)});
+    PinPos& pp = pins.emplace_back();
+    pp.cell = p.cell;
+    pp.px = x[c] + p.offset.x;
+    pp.py = y[c] + p.offset.y;
+    ts.probs<K>(c, pp.p);
   }
 }
 
+template <int K>
 NetGeom net_geometry(const std::vector<PinPos>& pins, const GCellGrid& grid) {
   NetGeom g;
+  std::fill(g.prod, g.prod + K, 1.0);
   double xl = pins[0].px, xh = pins[0].px, yl = pins[0].py, yh = pins[0].py;
   for (std::size_t i = 0; i < pins.size(); ++i) {
     const auto& p = pins[i];
@@ -57,9 +65,12 @@ NetGeom net_geometry(const std::vector<PinPos>& pins, const GCellGrid& grid) {
     if (p.px > xh) { xh = p.px; g.argmax_x = i; }
     if (p.py < yl) { yl = p.py; g.argmin_y = i; }
     if (p.py > yh) { yh = p.py; g.argmax_y = i; }
-    g.prod_top *= p.z;
-    g.prod_bot *= 1.0 - p.z;
+    for (int t = 0; t < K; ++t) g.prod[t] *= p.p[t];
   }
+  // ((1 - prod_{K-1}) - ...) - prod_0: at K = 2, 1 - prod_top - prod_bot.
+  double rest = 1.0;
+  for (int t = K - 1; t >= 0; --t) rest -= g.prod[t];
+  g.w3d = std::max(rest, 0.0);
   const double tw = grid.tile_width(), th = grid.tile_height();
   if (xh - xl < tw) {
     const double pad = (tw - (xh - xl)) * 0.5;
@@ -87,301 +98,28 @@ void add_tensor(nn::Tensor& into, const nn::Tensor& from) {
 
 }  // namespace
 
-SoftMaps soft_feature_maps(const Netlist& netlist, const GCellGrid& grid,
-                           const nn::Var& x, const nn::Var& y, const nn::Var& z) {
-  const auto N = static_cast<std::size_t>(netlist.num_cells());
-  assert(x->value.numel() == static_cast<std::int64_t>(N));
-  assert(y->value.numel() == static_cast<std::int64_t>(N));
-  assert(z->value.numel() == static_cast<std::int64_t>(N));
-  const std::int64_t H = grid.ny(), W = grid.nx();
-  const double A = grid.tile_area();
-
-  auto channel = [H, W](nn::Tensor& t, int die, FeatureChannel ch) {
-    return t.data().subspan(
-        static_cast<std::size_t>((die * kNumFeatureChannels + ch) * H * W),
-        static_cast<std::size_t>(H * W));
-  };
-
-  auto xs = std::as_const(x->value).data();
-  auto ys = std::as_const(y->value).data();
-  auto zs = std::as_const(z->value).data();
-
-  const nn::Tensor zero({1, 2 * kNumFeatureChannels, H, W});
-
-  // --- cell density & macro blockage ---
-  // Each cell splits its area overlap across the two dies by its soft tier
-  // probability; rows rasterize through the SIMD layer with per-die weights
-  // {1 - z, z} (missed tiles contribute exact +0).
-  const auto overlap_row = nn::simd::active().overlap_row_scaled;
-  nn::Tensor out = util::parallel_reduce(
-      0, static_cast<std::int64_t>(N),
-      util::grain_for_chunks(static_cast<std::int64_t>(N), kScatterChunks), zero,
-      [&](std::int64_t b, std::int64_t e, nn::Tensor& acc) {
-        for (std::int64_t i = b; i < e; ++i) {
-          const auto ci = static_cast<std::size_t>(i);
-          const auto id = static_cast<CellId>(ci);
-          const CellType& t = netlist.cell_type(id);
-          if (t.area() <= 0.0) continue;
-          const double zc = std::clamp(static_cast<double>(zs[ci]), 0.0, 1.0);
-          const Rect r{xs[ci], ys[ci], xs[ci] + t.width, ys[ci] + t.height};
-          const FeatureChannel ch =
-              netlist.is_macro(id) ? kMacroBlockage : kCellDensity;
-          auto bot = channel(acc, 0, ch);
-          auto top = channel(acc, 1, ch);
-          const int m0 = grid.col_of(r.xlo), m1 = grid.col_of(r.xhi);
-          const int n0 = grid.row_of(r.ylo), n1 = grid.row_of(r.yhi);
-          const double weights[2] = {1.0 - zc, zc};
-          const double txlo0 = grid.tile_rect(m0, n0).xlo;
-          for (int n = n0; n <= n1; ++n) {
-            const Rect tr = grid.tile_rect(m0, n);
-            const double oy = std::min(tr.yhi, r.yhi) - std::max(tr.ylo, r.ylo);
-            float* rows[2] = {bot.data() + grid.index(m0, n),
-                              top.data() + grid.index(m0, n)};
-            overlap_row(m1 - m0 + 1, txlo0, grid.tile_width(), r.xlo, r.xhi,
-                        oy, A, 2, weights, rows);
-          }
-        }
-      },
-      add_tensor);
-
-  // --- net-driven maps ---
-  const auto n_nets = static_cast<std::int64_t>(netlist.num_nets());
-  nn::Tensor net_maps = util::parallel_reduce(
-      0, n_nets, util::grain_for_chunks(n_nets, kScatterChunks),
-      zero,
-      [&](std::int64_t b, std::int64_t e, nn::Tensor& acc) {
-        std::vector<PinPos> pins;
-        for (std::int64_t i = b; i < e; ++i) {
-          collect_pins(netlist, static_cast<NetId>(i), xs, ys, zs, pins);
-          if (pins.empty()) continue;
-          const NetGeom g = net_geometry(pins, grid);
-          const double w3d = std::max(1.0 - g.prod_top - g.prod_bot, 0.0);
-
-          // RUDY channels: one fused geometry sweep over the bbox tiles.
-          const double ws[4] = {g.prod_bot, g.prod_top, 0.5 * w3d, 0.5 * w3d};
-          const std::span<float> rmaps[4] = {
-              channel(acc, 0, kRudy2D), channel(acc, 1, kRudy2D),
-              channel(acc, 0, kRudy3D), channel(acc, 1, kRudy3D)};
-          add_net_rudy_multi(grid, g.bbox, 4, ws, rmaps);
-
-          // Pin channels.
-          for (const PinPos& p : pins) {
-            const auto ti = static_cast<std::size_t>(grid.tile_of({p.px, p.py}));
-            channel(acc, 0, kPinDensity)[ti] += static_cast<float>((1.0 - p.z) / A);
-            channel(acc, 1, kPinDensity)[ti] += static_cast<float>(p.z / A);
-            channel(acc, 0, kPinRudy2D)[ti] += static_cast<float>(g.k * g.prod_bot);
-            channel(acc, 1, kPinRudy2D)[ti] += static_cast<float>(g.k * g.prod_top);
-            channel(acc, 0, kPinRudy3D)[ti] += static_cast<float>(g.k * (1.0 - p.z) * w3d);
-            channel(acc, 1, kPinRudy3D)[ti] += static_cast<float>(g.k * p.z * w3d);
-          }
-        }
-      },
-      add_tensor);
-  add_tensor(out, net_maps);
-
-  // --- custom backward: Eq. (6) subgradients ---
-  const Netlist* nlp = &netlist;
-  auto backward = [nlp, grid, H, W, A](nn::Node& node) {
-    const auto n_cells = static_cast<std::size_t>(nlp->num_cells());
-    nn::Node& px = *node.parents[0];
-    nn::Node& py = *node.parents[1];
-    nn::Node& pz = *node.parents[2];
-    std::vector<double> gx(n_cells, 0.0), gy(n_cells, 0.0), gz(n_cells, 0.0);
-
-    auto gch = [&](int die, FeatureChannel ch) {
-      return std::as_const(node.grad).data().subspan(
-          static_cast<std::size_t>((die * kNumFeatureChannels + ch) * H * W),
-          static_cast<std::size_t>(H * W));
-    };
-    auto xs = std::as_const(px.value).data();
-    auto ys = std::as_const(py.value).data();
-    auto zs = std::as_const(pz.value).data();
-
-    // Cell density: z gradient through tier weighting. Each cell writes only
-    // gz[ci], so plain parallel_for chunks are already disjoint.
-    if (pz.requires_grad) {
-      auto gb = gch(0, kCellDensity);
-      auto gt = gch(1, kCellDensity);
-      util::parallel_for(
-          0, static_cast<std::int64_t>(n_cells), 256,
-          [&](std::int64_t b, std::int64_t e) {
-            for (std::int64_t i = b; i < e; ++i) {
-              const auto ci = static_cast<std::size_t>(i);
-              const auto id = static_cast<CellId>(ci);
-              const CellType& t = nlp->cell_type(id);
-              if (t.area() <= 0.0 || nlp->is_macro(id)) continue;
-              const Rect r{xs[ci], ys[ci], xs[ci] + t.width, ys[ci] + t.height};
-              const int m0 = grid.col_of(r.xlo), m1 = grid.col_of(r.xhi);
-              const int n0 = grid.row_of(r.ylo), n1 = grid.row_of(r.yhi);
-              for (int n = n0; n <= n1; ++n)
-                for (int m = m0; m <= m1; ++m) {
-                  const double ov = grid.tile_rect(m, n).overlap_area(r);
-                  if (ov <= 0.0) continue;
-                  const auto ti = static_cast<std::size_t>(grid.index(m, n));
-                  gz[ci] += (gt[ti] - gb[ti]) * ov / A;
-                }
-            }
-          });
-    }
-
-    auto gb2 = gch(0, kRudy2D), gt2 = gch(1, kRudy2D);
-    auto gb3 = gch(0, kRudy3D), gt3 = gch(1, kRudy3D);
-    auto gbp2 = gch(0, kPinRudy2D), gtp2 = gch(1, kPinRudy2D);
-    auto gbp3 = gch(0, kPinRudy3D), gtp3 = gch(1, kPinRudy3D);
-    auto gbpd = gch(0, kPinDensity), gtpd = gch(1, kPinDensity);
-
-    // Net subgradients scatter onto the extreme pins' cells, which chunks
-    // share — per-chunk gradient buffers, merged in chunk order.
-    struct PosGrads {
-      std::vector<double> gx, gy, gz;
-    };
-    const auto bw_nets = static_cast<std::int64_t>(nlp->num_nets());
-    PosGrads net_grads = util::parallel_reduce(
-        0, bw_nets, util::grain_for_chunks(bw_nets, kScatterChunks),
-        PosGrads{std::vector<double>(n_cells, 0.0),
-                 std::vector<double>(n_cells, 0.0),
-                 std::vector<double>(n_cells, 0.0)},
-        [&](std::int64_t nb, std::int64_t ne, PosGrads& acc) {
-          std::vector<PinPos> pins;
-          for (std::int64_t nn_i = nb; nn_i < ne; ++nn_i) {
-            collect_pins(*nlp, static_cast<NetId>(nn_i), xs, ys, zs, pins);
-            if (pins.empty()) continue;
-            const NetGeom g = net_geometry(pins, grid);
-            const double w3d = std::max(1.0 - g.prod_top - g.prod_bot, 0.0);
-            const Rect& bb = g.bbox;
-            const int m0 = grid.col_of(bb.xlo), m1 = grid.col_of(bb.xhi);
-            const int n0 = grid.row_of(bb.ylo), n1 = grid.row_of(bb.yhi);
-            const double w = bb.width(), h = bb.height();
-
-            // Accumulate per-class tile-weighted grads for the RUDY channels,
-            // plus the position gradient of the extreme pins (Eq. 6). Each
-            // grid row is one SIMD sweep (tile j of the row folds into lane
-            // j % 8); the per-net 8-lane accumulators merge once with the
-            // fixed combine8 tree. Masked tiles (no overlap, or zero
-            // upstream weight for the position terms — the delta_ih /
-            // delta_il edge indicators of Eq. 6 included) contribute exact
-            // +-0, a bitwise no-op.
-            const bool want_pos = (px.requires_grad || py.requires_grad);
-            const auto bwd_row = nn::simd::active().soft_bwd_row;
-            nn::simd::SoftBwdAcc lanes;
-            nn::simd::SoftBwdRowArgs row;
-            row.mcount = m1 - m0 + 1;
-            row.txlo0 = grid.tile_rect(m0, n0).xlo;
-            row.tw = grid.tile_width();
-            row.A = A;
-            row.k = g.k;
-            row.bxlo = bb.xlo;
-            row.bxhi = bb.xhi;
-            row.w = w;
-            row.h = h;
-            row.prod_top = g.prod_top;
-            row.prod_bot = g.prod_bot;
-            row.w3d = w3d;
-            row.clamped_x = g.clamped_x;
-            row.clamped_y = g.clamped_y;
-            row.want_pos = want_pos;
-            for (int n = n0; n <= n1; ++n) {
-              const Rect tr = grid.tile_rect(m0, n);
-              row.oy = std::min(tr.yhi, bb.yhi) - std::max(tr.ylo, bb.ylo);
-              row.y_edge_hi = (bb.yhi >= tr.ylo && bb.yhi < tr.yhi) ? 1.0 : 0.0;
-              row.y_edge_lo = (bb.ylo > tr.ylo && bb.ylo <= tr.yhi) ? 1.0 : 0.0;
-              const auto off = static_cast<std::size_t>(grid.index(m0, n));
-              row.gt2 = gt2.data() + off;
-              row.gb2 = gb2.data() + off;
-              row.gt3 = gt3.data() + off;
-              row.gb3 = gb3.data() + off;
-              bwd_row(row, lanes);
-            }
-            const double a_top2 = lanes.combined(nn::simd::kQATop2);
-            const double a_bot2 = lanes.combined(nn::simd::kQABot2);
-            const double a_3d = lanes.combined(nn::simd::kQA3d);
-            if (want_pos) {
-              const double gxh = lanes.combined(nn::simd::kQGxh);
-              const double gxl = lanes.combined(nn::simd::kQGxl);
-              const double gyh = lanes.combined(nn::simd::kQGyh);
-              const double gyl = lanes.combined(nn::simd::kQGyl);
-              acc.gx[static_cast<std::size_t>(pins[g.argmax_x].cell)] += gxh;
-              acc.gx[static_cast<std::size_t>(pins[g.argmin_x].cell)] += gxl;
-              acc.gy[static_cast<std::size_t>(pins[g.argmax_y].cell)] += gyh;
-              acc.gy[static_cast<std::size_t>(pins[g.argmin_y].cell)] += gyl;
-            }
-
-            if (!pz.requires_grad) continue;
-
-            // Pin-channel sums shared across all z_i of this net.
-            double s_t2 = 0.0, s_b2 = 0.0, s_3z = 0.0;
-            for (const PinPos& p : pins) {
-              const auto ti = static_cast<std::size_t>(grid.tile_of({p.px, p.py}));
-              s_t2 += gtp2[ti] * g.k;
-              s_b2 += gbp2[ti] * g.k;
-              s_3z += gtp3[ti] * g.k * p.z + gbp3[ti] * g.k * (1.0 - p.z);
-            }
-
-            // Per-pin z gradients with excluded products.
-            for (std::size_t i = 0; i < pins.size(); ++i) {
-              const PinPos& pi = pins[i];
-              double pt_excl = 1.0, pb_excl = 1.0;
-              for (std::size_t q = 0; q < pins.size(); ++q) {
-                if (q == i) continue;
-                pt_excl *= pins[q].z;
-                pb_excl *= 1.0 - pins[q].z;
-              }
-              const double d3d = pb_excl - pt_excl;  // d(w3d)/dz_i
-              double gzi = 0.0;
-              // RUDY channels.
-              gzi += a_top2 * pt_excl - a_bot2 * pb_excl + a_3d * d3d;
-              // 2D PinRUDY (every pin's contribution carries the full product).
-              gzi += s_t2 * pt_excl - s_b2 * pb_excl;
-              // 3D PinRUDY: own-pin direct term + shared w3d term.
-              const auto ti = static_cast<std::size_t>(grid.tile_of({pi.px, pi.py}));
-              gzi += (gtp3[ti] - gbp3[ti]) * g.k * w3d + s_3z * d3d;
-              // Pin density.
-              gzi += (gtpd[ti] - gbpd[ti]) / A;
-              acc.gz[static_cast<std::size_t>(pi.cell)] += gzi;
-            }
-          }
-        },
-        [](PosGrads& into, const PosGrads& from) {
-          for (std::size_t i = 0; i < into.gx.size(); ++i) {
-            into.gx[i] += from.gx[i];
-            into.gy[i] += from.gy[i];
-            into.gz[i] += from.gz[i];
-          }
-        });
-    // Merge net contributions after the cell-density ones (the legacy order),
-    // still in double precision, before the single float flush below.
-    for (std::size_t i = 0; i < n_cells; ++i) {
-      gx[i] += net_grads.gx[i];
-      gy[i] += net_grads.gy[i];
-      gz[i] += net_grads.gz[i];
-    }
-
-    auto flush = [](nn::Node& p, const std::vector<double>& g) {
-      if (!p.requires_grad) return;
-      p.ensure_grad();
-      auto dst = p.grad.data();
-      for (std::size_t i = 0; i < g.size(); ++i) dst[i] += static_cast<float>(g[i]);
-    };
-    flush(px, gx);
-    flush(py, gy);
-    flush(pz, gz);
-  };
-
-  SoftMaps result;
-  result.num_tiers = 2;
-  result.stacked = nn::make_node(std::move(out), {x, y, z}, std::move(backward));
-  return result;
+TierState::TierState(std::span<const nn::Var> above, std::size_t n)
+    : K_(static_cast<int>(above.size()) + 1), n_(n) {
+  if (K_ < 2 || K_ > kMaxTiers)
+    throw StatusError(Status::invalid_argument(
+        "soft tier state: tier count must be in [2, " +
+        std::to_string(kMaxTiers) + "] (got " + std::to_string(K_) + ")"));
+  for (int j = 0; j + 1 < K_; ++j) {
+    const nn::Var& a = above[static_cast<std::size_t>(j)];
+    if (a->value.numel() != static_cast<std::int64_t>(n))
+      throw StatusError(Status::invalid_argument(
+          "soft tier state: survival vector size mismatch"));
+    a_[j] = std::as_const(a->value).data();
+  }
 }
 
-SoftMaps soft_feature_maps(const Netlist& netlist, const GCellGrid& grid,
-                           const nn::Var& x, const nn::Var& y,
-                           const std::vector<nn::Var>& p) {
-  assert(p.size() >= 2);
-  const int K = static_cast<int>(p.size());
+namespace {
+
+template <int K>
+SoftMaps soft_maps_k(const Netlist& netlist, const GCellGrid& grid,
+                     const nn::Var& x, const nn::Var& y,
+                     const std::vector<nn::Var>& above, const TierState& ts) {
   const auto N = static_cast<std::size_t>(netlist.num_cells());
-  assert(x->value.numel() == static_cast<std::int64_t>(N));
-  for ([[maybe_unused]] const nn::Var& pt : p)
-    assert(pt->value.numel() == static_cast<std::int64_t>(N));
   const std::int64_t H = grid.ny(), W = grid.nx();
   const double A = grid.tile_area();
   const double invK = 1.0 / static_cast<double>(K);
@@ -394,17 +132,14 @@ SoftMaps soft_feature_maps(const Netlist& netlist, const GCellGrid& grid,
 
   auto xs = std::as_const(x->value).data();
   auto ys = std::as_const(y->value).data();
-  std::vector<std::span<const float>> ps(static_cast<std::size_t>(K));
-  for (int t = 0; t < K; ++t)
-    ps[static_cast<std::size_t>(t)] = std::as_const(p[static_cast<std::size_t>(t)]->value).data();
-  auto pclamp = [&ps](int t, std::size_t ci) {
-    return std::clamp(
-        static_cast<double>(ps[static_cast<std::size_t>(t)][ci]), 0.0, 1.0);
-  };
 
   const nn::Tensor zero({1, K * kNumFeatureChannels, H, W});
 
   // --- cell density & macro blockage ---
+  // Each cell splits its area overlap across the tiers by its tier
+  // probabilities; rows rasterize through the SIMD layer with per-tier
+  // weights p_t (missed tiles contribute exact +0).
+  const auto overlap_row = nn::simd::active().overlap_row_scaled;
   nn::Tensor out = util::parallel_reduce(
       0, static_cast<std::int64_t>(N),
       util::grain_for_chunks(static_cast<std::int64_t>(N), kScatterChunks), zero,
@@ -414,20 +149,23 @@ SoftMaps soft_feature_maps(const Netlist& netlist, const GCellGrid& grid,
           const auto id = static_cast<CellId>(ci);
           const CellType& t = netlist.cell_type(id);
           if (t.area() <= 0.0) continue;
+          double weights[kMaxTiers];
+          ts.probs<K>(ci, weights);
           const Rect r{xs[ci], ys[ci], xs[ci] + t.width, ys[ci] + t.height};
           const FeatureChannel ch =
               netlist.is_macro(id) ? kMacroBlockage : kCellDensity;
           const int m0 = grid.col_of(r.xlo), m1 = grid.col_of(r.xhi);
           const int n0 = grid.row_of(r.ylo), n1 = grid.row_of(r.yhi);
-          for (int n = n0; n <= n1; ++n)
-            for (int m = m0; m <= m1; ++m) {
-              const double ov = grid.tile_rect(m, n).overlap_area(r);
-              if (ov <= 0.0) continue;
-              const auto ti = static_cast<std::size_t>(grid.index(m, n));
-              for (int tier = 0; tier < K; ++tier)
-                channel(acc, tier, ch)[ti] +=
-                    static_cast<float>(pclamp(tier, ci) * ov / A);
-            }
+          const double txlo0 = grid.tile_rect(m0, n0).xlo;
+          for (int n = n0; n <= n1; ++n) {
+            const Rect tr = grid.tile_rect(m0, n);
+            const double oy = std::min(tr.yhi, r.yhi) - std::max(tr.ylo, r.ylo);
+            float* rows[kMaxTiers];
+            for (int tier = 0; tier < K; ++tier)
+              rows[tier] = channel(acc, tier, ch).data() + grid.index(m0, n);
+            overlap_row(m1 - m0 + 1, txlo0, grid.tile_width(), r.xlo, r.xhi,
+                        oy, A, K, weights, rows);
+          }
         }
       },
       add_tensor);
@@ -439,45 +177,30 @@ SoftMaps soft_feature_maps(const Netlist& netlist, const GCellGrid& grid,
       zero,
       [&](std::int64_t b, std::int64_t e, nn::Tensor& acc) {
         std::vector<PinPos> pins;
-        std::vector<double> prod(static_cast<std::size_t>(K));
         for (std::int64_t i = b; i < e; ++i) {
-          // z spans are unused here; collect positions with z = 0.
-          collect_pins(netlist, static_cast<NetId>(i), xs, ys, ps[0], pins);
+          collect_pins<K>(netlist, static_cast<NetId>(i), xs, ys, ts, pins);
           if (pins.empty()) continue;
-          const NetGeom g = net_geometry(pins, grid);
-          double sum_prod = 0.0;
-          for (int t = 0; t < K; ++t) {
-            double pr = 1.0;
-            for (const PinPos& pin : pins)
-              pr *= pclamp(t, static_cast<std::size_t>(pin.cell));
-            prod[static_cast<std::size_t>(t)] = pr;
-            sum_prod += pr;
-          }
-          const double w3d = std::max(1.0 - sum_prod, 0.0);
+          const NetGeom g = net_geometry<K>(pins, grid);
 
-          // One fused geometry sweep for all 2K RUDY channels of this net.
-          double ws[kMaxRudyFan];
-          std::span<float> rmaps[kMaxRudyFan];
-          int nm = 0;
+          // RUDY channels: one fused geometry sweep for all 2K channels.
+          double ws[2 * kMaxTiers];
+          std::span<float> rmaps[2 * kMaxTiers];
           for (int t = 0; t < K; ++t) {
-            ws[nm] = prod[static_cast<std::size_t>(t)];
-            rmaps[nm] = channel(acc, t, kRudy2D);
-            ++nm;
-            ws[nm] = invK * w3d;
-            rmaps[nm] = channel(acc, t, kRudy3D);
-            ++nm;
+            ws[2 * t] = g.prod[t];
+            rmaps[2 * t] = channel(acc, t, kRudy2D);
+            ws[2 * t + 1] = invK * g.w3d;
+            rmaps[2 * t + 1] = channel(acc, t, kRudy3D);
           }
-          add_net_rudy_multi(grid, g.bbox, nm, ws, rmaps);
+          add_net_rudy_multi(grid, g.bbox, 2 * K, ws, rmaps);
 
-          for (const PinPos& pin : pins) {
-            const auto ci = static_cast<std::size_t>(pin.cell);
-            const auto ti = static_cast<std::size_t>(grid.tile_of({pin.px, pin.py}));
+          // Pin channels.
+          for (const PinPos& p : pins) {
+            const auto ti = static_cast<std::size_t>(grid.tile_of({p.px, p.py}));
             for (int t = 0; t < K; ++t) {
-              const double pt = pclamp(t, ci);
-              channel(acc, t, kPinDensity)[ti] += static_cast<float>(pt / A);
-              channel(acc, t, kPinRudy2D)[ti] +=
-                  static_cast<float>(g.k * prod[static_cast<std::size_t>(t)]);
-              channel(acc, t, kPinRudy3D)[ti] += static_cast<float>(g.k * pt * w3d);
+              channel(acc, t, kPinDensity)[ti] += static_cast<float>(p.p[t] / A);
+              channel(acc, t, kPinRudy2D)[ti] += static_cast<float>(g.k * g.prod[t]);
+              channel(acc, t, kPinRudy3D)[ti] +=
+                  static_cast<float>(g.k * p.p[t] * g.w3d);
             }
           }
         }
@@ -485,15 +208,20 @@ SoftMaps soft_feature_maps(const Netlist& netlist, const GCellGrid& grid,
       add_tensor);
   add_tensor(out, net_maps);
 
-  // --- backward: the Eq. (6) subgradients, generalized per tier ---
+  // --- custom backward: Eq. (6) subgradients ---
   const Netlist* nlp = &netlist;
-  auto backward = [nlp, grid, H, W, A, K, invK](nn::Node& node) {
+  auto backward = [nlp, grid, H, W, A, invK](nn::Node& node) {
     const auto n_cells = static_cast<std::size_t>(nlp->num_cells());
     nn::Node& px = *node.parents[0];
     nn::Node& py = *node.parents[1];
-    bool any_p_grad = false;
-    for (int t = 0; t < K; ++t)
-      any_p_grad = any_p_grad || node.parents[static_cast<std::size_t>(2 + t)]->requires_grad;
+    const auto above_node = [&](int j) -> nn::Node& {
+      return *node.parents[static_cast<std::size_t>(2 + j)];
+    };
+    bool any_above_grad = false;
+    for (int j = 0; j + 1 < K; ++j)
+      any_above_grad = any_above_grad || above_node(j).requires_grad;
+    const TierState ts(std::span<const nn::Var>(node.parents).subspan(2),
+                       n_cells);
 
     auto gch = [&](int tier, FeatureChannel ch) {
       return std::as_const(node.grad).data().subspan(
@@ -502,32 +230,28 @@ SoftMaps soft_feature_maps(const Netlist& netlist, const GCellGrid& grid,
     };
     auto xs = std::as_const(px.value).data();
     auto ys = std::as_const(py.value).data();
-    std::vector<std::span<const float>> ps(static_cast<std::size_t>(K));
-    for (int t = 0; t < K; ++t)
-      ps[static_cast<std::size_t>(t)] =
-          std::as_const(node.parents[static_cast<std::size_t>(2 + t)]->value).data();
-    auto pclamp = [&ps](int t, std::size_t ci) {
-      return std::clamp(
-          static_cast<double>(ps[static_cast<std::size_t>(t)][ci]), 0.0, 1.0);
-    };
+    // Survival gradients, boundary-major: ga[j * n_cells + i].
+    std::vector<double> gx(n_cells, 0.0), gy(n_cells, 0.0),
+        ga(static_cast<std::size_t>(K - 1) * n_cells, 0.0);
 
-    std::vector<double> gx(n_cells, 0.0), gy(n_cells, 0.0);
-    std::vector<std::vector<double>> gp(
-        static_cast<std::size_t>(K), std::vector<double>(n_cells, 0.0));
-
-    // Upstream RUDY row bases, hoisted out of the per-net sweeps.
-    const float* g2base[nn::simd::kMaxSoftTiers] = {};
-    const float* g3base[nn::simd::kMaxSoftTiers] = {};
-    const bool lane_sweep = K <= nn::simd::kMaxSoftTiers;
-    if (lane_sweep) {
-      for (int t = 0; t < K; ++t) {
-        g2base[t] = gch(t, kRudy2D).data();
-        g3base[t] = gch(t, kRudy3D).data();
-      }
+    // Upstream maps, hoisted out of the per-cell and per-net sweeps.
+    std::span<const float> gcd[kMaxTiers], gp2[kMaxTiers], gp3[kMaxTiers],
+        gpd[kMaxTiers];
+    const float* g2base[kMaxTiers];
+    const float* g3base[kMaxTiers];
+    for (int t = 0; t < K; ++t) {
+      gcd[t] = gch(t, kCellDensity);
+      gp2[t] = gch(t, kPinRudy2D);
+      gp3[t] = gch(t, kPinRudy3D);
+      gpd[t] = gch(t, kPinDensity);
+      g2base[t] = gch(t, kRudy2D).data();
+      g3base[t] = gch(t, kRudy3D).data();
     }
 
-    // Cell density: each tier's map weights that tier's probability directly.
-    if (any_p_grad) {
+    // Cell density: tier t's map weights p_t, so boundary j receives the
+    // upstream difference of tiers j+1 and j. Each cell writes only its own
+    // slots, so plain parallel_for chunks are already disjoint.
+    if (any_above_grad) {
       util::parallel_for(
           0, static_cast<std::int64_t>(n_cells), 256,
           [&](std::int64_t b, std::int64_t e) {
@@ -544,230 +268,179 @@ SoftMaps soft_feature_maps(const Netlist& netlist, const GCellGrid& grid,
                   const double ov = grid.tile_rect(m, n).overlap_area(r);
                   if (ov <= 0.0) continue;
                   const auto ti = static_cast<std::size_t>(grid.index(m, n));
-                  for (int tier = 0; tier < K; ++tier)
-                    gp[static_cast<std::size_t>(tier)][ci] +=
-                        gch(tier, kCellDensity)[ti] * ov / A;
+                  for (int j = 0; j + 1 < K; ++j)
+                    ga[static_cast<std::size_t>(j) * n_cells + ci] +=
+                        (gcd[j + 1][ti] - gcd[j][ti]) * ov / A;
                 }
             }
           });
     }
 
-    struct PosGradsK {
-      std::vector<double> gx, gy;
-      std::vector<std::vector<double>> gp;
+    // Net subgradients scatter onto the extreme pins' cells, which chunks
+    // share — per-chunk gradient buffers, merged in chunk order.
+    struct PosGrads {
+      std::vector<double> gx, gy, ga;
     };
     const auto bw_nets = static_cast<std::int64_t>(nlp->num_nets());
-    PosGradsK net_grads = util::parallel_reduce(
+    PosGrads net_grads = util::parallel_reduce(
         0, bw_nets, util::grain_for_chunks(bw_nets, kScatterChunks),
-        PosGradsK{std::vector<double>(n_cells, 0.0),
-                  std::vector<double>(n_cells, 0.0),
-                  std::vector<std::vector<double>>(
-                      static_cast<std::size_t>(K),
-                      std::vector<double>(n_cells, 0.0))},
-        [&](std::int64_t nb, std::int64_t ne, PosGradsK& acc) {
+        PosGrads{std::vector<double>(n_cells, 0.0),
+                 std::vector<double>(n_cells, 0.0),
+                 std::vector<double>(ga.size(), 0.0)},
+        [&](std::int64_t nb, std::int64_t ne, PosGrads& acc) {
           std::vector<PinPos> pins;
-          std::vector<double> prod(static_cast<std::size_t>(K));
-          std::vector<double> a2(static_cast<std::size_t>(K));
-          std::vector<double> s2(static_cast<std::size_t>(K));
-          std::vector<double> excl(static_cast<std::size_t>(K));
           for (std::int64_t nn_i = nb; nn_i < ne; ++nn_i) {
-            collect_pins(*nlp, static_cast<NetId>(nn_i), xs, ys, ps[0], pins);
+            collect_pins<K>(*nlp, static_cast<NetId>(nn_i), xs, ys, ts, pins);
             if (pins.empty()) continue;
-            const NetGeom g = net_geometry(pins, grid);
-            double sum_prod = 0.0;
-            for (int t = 0; t < K; ++t) {
-              double pr = 1.0;
-              for (const PinPos& pin : pins)
-                pr *= pclamp(t, static_cast<std::size_t>(pin.cell));
-              prod[static_cast<std::size_t>(t)] = pr;
-              sum_prod += pr;
-            }
-            const double w3d = std::max(1.0 - sum_prod, 0.0);
+            const NetGeom g = net_geometry<K>(pins, grid);
             const Rect& bb = g.bbox;
             const int m0 = grid.col_of(bb.xlo), m1 = grid.col_of(bb.xhi);
             const int n0 = grid.row_of(bb.ylo), n1 = grid.row_of(bb.yhi);
-            const double w = bb.width(), h = bb.height();
 
-            std::fill(a2.begin(), a2.end(), 0.0);
-            double a_3d = 0.0;
-            double gxh = 0.0, gxl = 0.0, gyh = 0.0, gyl = 0.0;
+            // Accumulate per-tier tile-weighted grads for the RUDY channels,
+            // plus the position gradient of the extreme pins (Eq. 6). Each
+            // grid row is one SIMD sweep (tile j of the row folds into lane
+            // j % 8); the per-net 8-lane accumulators merge once with the
+            // fixed combine8 tree. Masked tiles (no overlap, or zero
+            // upstream weight for the position terms — the delta_ih /
+            // delta_il edge indicators of Eq. 6 included) contribute exact
+            // +-0, a bitwise no-op.
             const bool want_pos = (px.requires_grad || py.requires_grad);
-            if (lane_sweep) {
-              // Same fixed-lane row sweep as the K = 2 path, with one
-              // RUDY2D accumulator per tier.
-              const auto bwd_row_k = nn::simd::active().soft_bwd_row_k;
-              nn::simd::SoftBwdAccK lanes;
-              nn::simd::SoftBwdRowKArgs row;
-              row.mcount = m1 - m0 + 1;
-              row.txlo0 = grid.tile_rect(m0, n0).xlo;
-              row.tw = grid.tile_width();
-              row.A = A;
-              row.k = g.k;
-              row.bxlo = bb.xlo;
-              row.bxhi = bb.xhi;
-              row.w = w;
-              row.h = h;
-              row.w3d = w3d;
-              row.invK = invK;
-              row.clamped_x = g.clamped_x;
-              row.clamped_y = g.clamped_y;
-              row.want_pos = want_pos;
-              row.K = K;
-              for (int t = 0; t < K; ++t)
-                row.prod[t] = prod[static_cast<std::size_t>(t)];
-              for (int n = n0; n <= n1; ++n) {
-                const Rect tr = grid.tile_rect(m0, n);
-                row.oy = std::min(tr.yhi, bb.yhi) - std::max(tr.ylo, bb.ylo);
-                row.y_edge_hi =
-                    (bb.yhi >= tr.ylo && bb.yhi < tr.yhi) ? 1.0 : 0.0;
-                row.y_edge_lo =
-                    (bb.ylo > tr.ylo && bb.ylo <= tr.yhi) ? 1.0 : 0.0;
-                const auto off = static_cast<std::size_t>(grid.index(m0, n));
-                for (int t = 0; t < K; ++t) {
-                  row.g2[t] = g2base[t] + off;
-                  row.g3[t] = g3base[t] + off;
-                }
-                bwd_row_k(row, lanes);
+            const auto bwd_row = nn::simd::active().soft_bwd_row_k;
+            nn::simd::SoftBwdAccK lanes;
+            nn::simd::SoftBwdRowKArgs row;
+            row.mcount = m1 - m0 + 1;
+            row.txlo0 = grid.tile_rect(m0, n0).xlo;
+            row.tw = grid.tile_width();
+            row.A = A;
+            row.k = g.k;
+            row.bxlo = bb.xlo;
+            row.bxhi = bb.xhi;
+            row.w = bb.width();
+            row.h = bb.height();
+            row.w3d = g.w3d;
+            row.invK = invK;
+            row.clamped_x = g.clamped_x;
+            row.clamped_y = g.clamped_y;
+            row.want_pos = want_pos;
+            row.K = K;
+            std::copy(g.prod, g.prod + K, row.prod);
+            for (int n = n0; n <= n1; ++n) {
+              const Rect tr = grid.tile_rect(m0, n);
+              row.oy = std::min(tr.yhi, bb.yhi) - std::max(tr.ylo, bb.ylo);
+              row.y_edge_hi = (bb.yhi >= tr.ylo && bb.yhi < tr.yhi) ? 1.0 : 0.0;
+              row.y_edge_lo = (bb.ylo > tr.ylo && bb.ylo <= tr.yhi) ? 1.0 : 0.0;
+              const auto off = static_cast<std::size_t>(grid.index(m0, n));
+              for (int t = 0; t < K; ++t) {
+                row.g2[t] = g2base[t] + off;
+                row.g3[t] = g3base[t] + off;
               }
-              for (int t = 0; t < K; ++t)
-                a2[static_cast<std::size_t>(t)] =
-                    nn::simd::combine8(lanes.a2[t]);
-              a_3d = nn::simd::combine8(lanes.a3d);
-              if (want_pos) {
-                gxh = nn::simd::combine8(lanes.gxh);
-                gxl = nn::simd::combine8(lanes.gxl);
-                gyh = nn::simd::combine8(lanes.gyh);
-                gyl = nn::simd::combine8(lanes.gyl);
-              }
-            } else {
-              for (int n = n0; n <= n1; ++n) {
-                for (int m = m0; m <= m1; ++m) {
-                  const Rect tr = grid.tile_rect(m, n);
-                  const double ov = tr.overlap_area(bb);
-                  if (ov <= 0.0) continue;
-                  const auto ti = static_cast<std::size_t>(grid.index(m, n));
-                  const double c = g.k * ov / A;
-                  double g3_sum = 0.0;
-                  double t_w = 0.0;
-                  for (int t = 0; t < K; ++t) {
-                    const double g2 = gch(t, kRudy2D)[ti];
-                    a2[static_cast<std::size_t>(t)] += g2 * c;
-                    t_w += g2 * prod[static_cast<std::size_t>(t)];
-                    g3_sum += gch(t, kRudy3D)[ti];
-                  }
-                  a_3d += g3_sum * invK * c;
-                  if (!want_pos) continue;
-                  t_w += g3_sum * invK * w3d;
-                  if (t_w == 0.0) continue;
-                  const double wx =
-                      std::min(tr.xhi, bb.xhi) - std::max(tr.xlo, bb.xlo);
-                  const double hy =
-                      std::min(tr.yhi, bb.yhi) - std::max(tr.ylo, bb.ylo);
-                  if (!g.clamped_x) {
-                    const double dk = -ov / (w * w * A);
-                    gxh += t_w * dk;
-                    gxl -= t_w * dk;
-                    if (bb.xhi >= tr.xlo && bb.xhi < tr.xhi)
-                      gxh += t_w * g.k * hy / A;
-                    if (bb.xlo > tr.xlo && bb.xlo <= tr.xhi)
-                      gxl -= t_w * g.k * hy / A;
-                  }
-                  if (!g.clamped_y) {
-                    const double dk = -ov / (h * h * A);
-                    gyh += t_w * dk;
-                    gyl -= t_w * dk;
-                    if (bb.yhi >= tr.ylo && bb.yhi < tr.yhi)
-                      gyh += t_w * g.k * wx / A;
-                    if (bb.ylo > tr.ylo && bb.ylo <= tr.yhi)
-                      gyl -= t_w * g.k * wx / A;
-                  }
-                }
-              }
+              bwd_row(row, lanes);
             }
             if (want_pos) {
-              acc.gx[static_cast<std::size_t>(pins[g.argmax_x].cell)] += gxh;
-              acc.gx[static_cast<std::size_t>(pins[g.argmin_x].cell)] += gxl;
-              acc.gy[static_cast<std::size_t>(pins[g.argmax_y].cell)] += gyh;
-              acc.gy[static_cast<std::size_t>(pins[g.argmin_y].cell)] += gyl;
+              acc.gx[static_cast<std::size_t>(pins[g.argmax_x].cell)] +=
+                  nn::simd::combine8(lanes.gxh);
+              acc.gx[static_cast<std::size_t>(pins[g.argmin_x].cell)] +=
+                  nn::simd::combine8(lanes.gxl);
+              acc.gy[static_cast<std::size_t>(pins[g.argmax_y].cell)] +=
+                  nn::simd::combine8(lanes.gyh);
+              acc.gy[static_cast<std::size_t>(pins[g.argmin_y].cell)] +=
+                  nn::simd::combine8(lanes.gyl);
             }
 
-            if (!any_p_grad) continue;
+            if (!any_above_grad) continue;
+            double a2[kMaxTiers];
+            for (int t = 0; t < K; ++t) a2[t] = nn::simd::combine8(lanes.a2[t]);
+            const double a_3d = nn::simd::combine8(lanes.a3d);
 
-            std::fill(s2.begin(), s2.end(), 0.0);
+            // Pin-channel sums shared across all pins of this net.
+            double s2[kMaxTiers] = {};
             double s_3z = 0.0;
-            for (const PinPos& pin : pins) {
-              const auto ci = static_cast<std::size_t>(pin.cell);
-              const auto ti = static_cast<std::size_t>(grid.tile_of({pin.px, pin.py}));
-              for (int t = 0; t < K; ++t) {
-                s2[static_cast<std::size_t>(t)] += gch(t, kPinRudy2D)[ti] * g.k;
-                s_3z += gch(t, kPinRudy3D)[ti] * g.k * pclamp(t, ci);
-              }
+            for (const PinPos& p : pins) {
+              const auto ti = static_cast<std::size_t>(grid.tile_of({p.px, p.py}));
+              for (int t = 0; t < K; ++t) s2[t] += gp2[t][ti] * g.k;
+              double s3 = gp3[K - 1][ti] * g.k * p.p[K - 1];
+              for (int t = K - 2; t >= 0; --t) s3 += gp3[t][ti] * g.k * p.p[t];
+              s_3z += s3;
             }
 
+            // Per-pin survival gradients with excluded products: boundary j
+            // takes d/dp_{j+1} - d/dp_j of every term.
             for (std::size_t i = 0; i < pins.size(); ++i) {
-              const auto ci = static_cast<std::size_t>(pins[i].cell);
-              const auto ti =
-                  static_cast<std::size_t>(grid.tile_of({pins[i].px, pins[i].py}));
-              for (int t = 0; t < K; ++t) {
-                double ex = 1.0;
-                for (std::size_t q = 0; q < pins.size(); ++q) {
-                  if (q == i) continue;
-                  ex *= pclamp(t, static_cast<std::size_t>(pins[q].cell));
-                }
-                excl[static_cast<std::size_t>(t)] = ex;
+              const PinPos& pi = pins[i];
+              double ex[kMaxTiers];
+              std::fill(ex, ex + K, 1.0);
+              for (std::size_t q = 0; q < pins.size(); ++q) {
+                if (q == i) continue;
+                for (int t = 0; t < K; ++t) ex[t] *= pins[q].p[t];
               }
-              for (int t = 0; t < K; ++t) {
-                const double ex = excl[static_cast<std::size_t>(t)];
-                double gpi = 0.0;
-                // Area RUDY: 2D through prod_t; 3D through w3d (dw3d/dp_t = -ex).
-                gpi += a2[static_cast<std::size_t>(t)] * ex - a_3d * ex;
-                // 2D PinRUDY.
-                gpi += s2[static_cast<std::size_t>(t)] * ex;
+              const auto ti = static_cast<std::size_t>(grid.tile_of({pi.px, pi.py}));
+              for (int j = 0; j + 1 < K; ++j) {
+                const int u = j + 1, l = j;
+                const double d3d = ex[l] - ex[u];  // d(w3d)/d above_j
+                double gzi = 0.0;
+                // RUDY channels.
+                gzi += a2[u] * ex[u] - a2[l] * ex[l] + a_3d * d3d;
+                // 2D PinRUDY (every pin's contribution carries the full product).
+                gzi += s2[u] * ex[u] - s2[l] * ex[l];
                 // 3D PinRUDY: own-pin direct term + shared w3d term.
-                gpi += gch(t, kPinRudy3D)[ti] * g.k * w3d - s_3z * ex;
+                gzi += (gp3[u][ti] - gp3[l][ti]) * g.k * g.w3d + s_3z * d3d;
                 // Pin density.
-                gpi += gch(t, kPinDensity)[ti] / A;
-                acc.gp[static_cast<std::size_t>(t)][ci] += gpi;
+                gzi += (gpd[u][ti] - gpd[l][ti]) / A;
+                acc.ga[static_cast<std::size_t>(j) * n_cells +
+                       static_cast<std::size_t>(pi.cell)] += gzi;
               }
             }
           }
         },
-        [](PosGradsK& into, const PosGradsK& from) {
+        [](PosGrads& into, const PosGrads& from) {
           for (std::size_t i = 0; i < into.gx.size(); ++i) {
             into.gx[i] += from.gx[i];
             into.gy[i] += from.gy[i];
           }
-          for (std::size_t t = 0; t < into.gp.size(); ++t)
-            for (std::size_t i = 0; i < into.gp[t].size(); ++i)
-              into.gp[t][i] += from.gp[t][i];
+          for (std::size_t i = 0; i < into.ga.size(); ++i) into.ga[i] += from.ga[i];
         });
+    // Merge net contributions after the cell-density ones (the legacy order),
+    // still in double precision, before the single float flush below.
     for (std::size_t i = 0; i < n_cells; ++i) {
       gx[i] += net_grads.gx[i];
       gy[i] += net_grads.gy[i];
     }
-    for (std::size_t t = 0; t < static_cast<std::size_t>(K); ++t)
-      for (std::size_t i = 0; i < n_cells; ++i)
-        gp[t][i] += net_grads.gp[t][i];
+    for (std::size_t i = 0; i < ga.size(); ++i) ga[i] += net_grads.ga[i];
 
-    auto flush = [](nn::Node& pnode, const std::vector<double>& g) {
-      if (!pnode.requires_grad) return;
-      pnode.ensure_grad();
-      auto dst = pnode.grad.data();
-      for (std::size_t i = 0; i < g.size(); ++i) dst[i] += static_cast<float>(g[i]);
+    auto flush = [](nn::Node& p, const double* g, std::size_t n) {
+      if (!p.requires_grad) return;
+      p.ensure_grad();
+      auto dst = p.grad.data();
+      for (std::size_t i = 0; i < n; ++i) dst[i] += static_cast<float>(g[i]);
     };
-    flush(px, gx);
-    flush(py, gy);
-    for (int t = 0; t < K; ++t)
-      flush(*node.parents[static_cast<std::size_t>(2 + t)],
-            gp[static_cast<std::size_t>(t)]);
+    flush(px, gx.data(), n_cells);
+    flush(py, gy.data(), n_cells);
+    for (int j = 0; j + 1 < K; ++j)
+      flush(above_node(j), ga.data() + static_cast<std::size_t>(j) * n_cells,
+            n_cells);
   };
 
   std::vector<nn::Var> parents = {x, y};
-  parents.insert(parents.end(), p.begin(), p.end());
+  parents.insert(parents.end(), above.begin(), above.end());
   SoftMaps result;
   result.num_tiers = K;
   result.stacked = nn::make_node(std::move(out), parents, std::move(backward));
   return result;
+}
+
+}  // namespace
+
+SoftMaps soft_feature_maps(const Netlist& netlist, const GCellGrid& grid,
+                           const nn::Var& x, const nn::Var& y,
+                           const std::vector<nn::Var>& above) {
+  const auto N = static_cast<std::size_t>(netlist.num_cells());
+  assert(x->value.numel() == static_cast<std::int64_t>(N));
+  assert(y->value.numel() == static_cast<std::int64_t>(N));
+  const TierState ts(above, N);
+  return with_tier_count(ts.num_tiers(), [&](auto k) {
+    return soft_maps_k<decltype(k)::value>(netlist, grid, x, y, above, ts);
+  });
 }
 
 }  // namespace dco3d

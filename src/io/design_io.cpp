@@ -225,6 +225,10 @@ Placement3D read_placement(std::istream& is, std::size_t num_cells) {
       // Optional record (files predating N-tier support omit it → 2 dies).
       ss >> pl.num_tiers;
       if (!ss || pl.num_tiers < 1) fail(lineno, "malformed tiers");
+      if (pl.num_tiers < 2 || pl.num_tiers > kMaxTiers)
+        throw StatusError(Status::invalid_argument(
+            "design_io: tiers must be in [2, " + std::to_string(kMaxTiers) +
+            "] at line " + std::to_string(lineno)));
     } else if (tag == "place") {
       std::size_t idx;
       double x, y;

@@ -18,7 +18,7 @@
 //    low/high ymm half — identical per-lane accumulation order to the
 //    scalar rolling-lane loop;
 //  - remainder tiles (mcount % vector width) run the shared per-tile scalar
-//    bodies (rudy_tile / overlap_tile / soft_bwd_tile), so the tail is the
+//    bodies (rudy_tile / overlap_tile / soft_bwd_tile_k), so the tail is the
 //    same code the scalar backend runs.
 //
 // Only compiled on x86-64 when the DCO3D_SIMD CMake option allows it;
@@ -150,17 +150,20 @@ void overlap_row_scaled_avx2(i64 mcount, double txlo0, double tw, double bxlo,
   }
 }
 
-/// One 4-tile half of an 8-tile lane group: tiles j..j+3 accumulate into
-/// double lanes j%8 .. j%8+3, i.e. one ymm half of each quantity. `lo[q]` /
-/// `hi[q]` are the callers' in-register lane accumulators.
-struct SoftBwdConsts {
-  __m256d tw, bxlo, bxhi, oy, k, inv_a, pt, pb, w3d, wwA, hhA, zero;
+/// Constants of one backward row, broadcast once per row.
+struct SoftBwdKConsts {
+  __m256d tw, bxlo, bxhi, oy, k, inv_a, w3d, invK, wwA, hhA, zero;
   __m256d oy_gt;
+  __m256d prod[kMaxTiers];
 };
 
-template <bool kMasked>
-inline void soft_bwd_half(const SoftBwdRowArgs& a, const SoftBwdConsts& c,
-                          i64 j, __m128i mk, __m256d acc[kNumSoftBwdQ]) {
+/// One 4-tile half of an 8-tile lane group: tiles j..j+3 accumulate into
+/// double lanes j%8 .. j%8+3, i.e. one ymm half of each quantity. acc2
+/// points at the caller's per-tier RUDY2D ymm accumulators, acc5 at
+/// {a3d, gxh, gxl, gyh, gyl}.
+template <bool kMasked, int K>
+inline void soft_bwd_k_half(const SoftBwdRowKArgs& a, const SoftBwdKConsts& c,
+                            i64 j, __m128i mk, __m256d* acc2, __m256d* acc5) {
   // Partial halves maskload the upstream grad rows, so lanes past the row
   // end read 0.0f: their A-terms become exact +-0 and t_w == +-0 turns the
   // `on` mask off, so every lane update is a bitwise no-op.
@@ -175,126 +178,14 @@ inline void soft_bwd_half(const SoftBwdRowArgs& a, const SoftBwdConsts& c,
   const __m256d ov =
       vmask(_mm256_and_pd(wx_gt, c.oy_gt), _mm256_mul_pd(wx, c.oy));
   // c = (k * ov) * inv_a — exact +0 when masked, like the scalar tile.
-  const __m256d cv =
-      _mm256_mul_pd(_mm256_mul_pd(c.k, ov), c.inv_a);
-  const __m256d gt2 = load(a.gt2);
-  const __m256d gb2 = load(a.gb2);
-  const __m256d g3 = _mm256_add_pd(load(a.gt3), load(a.gb3));
-  const __m256d h3 = _mm256_mul_pd(g3, _mm256_set1_pd(0.5));
-  acc[kQATop2] = _mm256_add_pd(acc[kQATop2], _mm256_mul_pd(gt2, cv));
-  acc[kQABot2] = _mm256_add_pd(acc[kQABot2], _mm256_mul_pd(gb2, cv));
-  acc[kQA3d] = _mm256_add_pd(acc[kQA3d], _mm256_mul_pd(h3, cv));
-  if (!a.want_pos) return;
-  // t_w = (gt2*prod_top + gb2*prod_bot) + (g3*0.5)*w3d — scalar order.
-  const __m256d t_w = _mm256_add_pd(
-      _mm256_add_pd(_mm256_mul_pd(gt2, c.pt), _mm256_mul_pd(gb2, c.pb)),
-      _mm256_mul_pd(h3, c.w3d));
-  const __m256d on = _mm256_and_pd(
-      _mm256_cmp_pd(ov, c.zero, _CMP_GT_OQ),
-      _mm256_cmp_pd(t_w, c.zero, _CMP_NEQ_UQ));
-  const __m256d negov = vneg(ov);
-  if (!a.clamped_x) {
-    const __m256d dk = _mm256_div_pd(negov, c.wwA);
-    const __m256d term = vmask(on, _mm256_mul_pd(t_w, dk));
-    acc[kQGxh] = _mm256_add_pd(acc[kQGxh], term);
-    acc[kQGxl] = _mm256_sub_pd(acc[kQGxl], term);
-    // edge = ((t_w * k) * oy) * inv_a — scalar order.
-    const __m256d edge = _mm256_mul_pd(
-        _mm256_mul_pd(_mm256_mul_pd(t_w, c.k), c.oy), c.inv_a);
-    const __m256d mhi = _mm256_and_pd(
-        on, _mm256_and_pd(_mm256_cmp_pd(c.bxhi, txlo, _CMP_GE_OQ),
-                          _mm256_cmp_pd(c.bxhi, txhi, _CMP_LT_OQ)));
-    acc[kQGxh] = _mm256_add_pd(acc[kQGxh], vmask(mhi, edge));
-    const __m256d mlo = _mm256_and_pd(
-        on, _mm256_and_pd(_mm256_cmp_pd(c.bxlo, txlo, _CMP_GT_OQ),
-                          _mm256_cmp_pd(c.bxlo, txhi, _CMP_LE_OQ)));
-    acc[kQGxl] = _mm256_sub_pd(acc[kQGxl], vmask(mlo, edge));
-  }
-  if (!a.clamped_y) {
-    const __m256d dk = _mm256_div_pd(negov, c.hhA);
-    const __m256d term = vmask(on, _mm256_mul_pd(t_w, dk));
-    acc[kQGyh] = _mm256_add_pd(acc[kQGyh], term);
-    acc[kQGyl] = _mm256_sub_pd(acc[kQGyl], term);
-    // edge = ((t_w * k) * wx) * inv_a — scalar order. The y-edge flags are
-    // row constants; skipping the add when a flag is 0 matches the scalar
-    // "+= 0.0" bitwise because lane accumulators can never be -0.0 (they
-    // start at +0 and x ± (+0) under round-to-nearest preserves that).
-    const __m256d edge = _mm256_mul_pd(
-        _mm256_mul_pd(_mm256_mul_pd(t_w, c.k), wx), c.inv_a);
-    if (a.y_edge_hi != 0.0)
-      acc[kQGyh] = _mm256_add_pd(acc[kQGyh], vmask(on, edge));
-    if (a.y_edge_lo != 0.0)
-      acc[kQGyl] = _mm256_sub_pd(acc[kQGyl], vmask(on, edge));
-  }
-}
-
-void soft_bwd_row_avx2(const SoftBwdRowArgs& a, SoftBwdAcc& acc) {
-  if (a.mcount <= 0) return;
-  const double inv_a = 1.0 / a.A;
-  SoftBwdConsts c;
-  c.tw = _mm256_set1_pd(a.tw);
-  c.bxlo = _mm256_set1_pd(a.bxlo);
-  c.bxhi = _mm256_set1_pd(a.bxhi);
-  c.oy = _mm256_set1_pd(a.oy);
-  c.k = _mm256_set1_pd(a.k);
-  c.inv_a = _mm256_set1_pd(inv_a);
-  c.pt = _mm256_set1_pd(a.prod_top);
-  c.pb = _mm256_set1_pd(a.prod_bot);
-  c.w3d = _mm256_set1_pd(a.w3d);
-  c.wwA = _mm256_set1_pd(a.w * a.w * a.A);
-  c.hhA = _mm256_set1_pd(a.h * a.h * a.A);
-  c.zero = _mm256_setzero_pd();
-  c.oy_gt = _mm256_cmp_pd(c.oy, c.zero, _CMP_GT_OQ);
-  __m256d lo[kNumSoftBwdQ], hi[kNumSoftBwdQ];
-  for (int q = 0; q < kNumSoftBwdQ; ++q) {
-    lo[q] = _mm256_loadu_pd(acc.lanes[q]);
-    hi[q] = _mm256_loadu_pd(acc.lanes[q] + 4);
-  }
-  const __m128i full = tail_mask(4);
-  const i64 n8 = a.mcount & ~i64{7};
-  for (i64 j = 0; j < n8; j += 8) {
-    soft_bwd_half<false>(a, c, j, full, lo);
-    soft_bwd_half<false>(a, c, j + 4, full, hi);
-  }
-  const int rem = static_cast<int>(a.mcount - n8);  // 0..7 tail tiles
-  const int rem_lo = rem < 4 ? rem : 4;
-  if (rem_lo == 4)
-    soft_bwd_half<false>(a, c, n8, full, lo);
-  else if (rem_lo > 0)
-    soft_bwd_half<true>(a, c, n8, tail_mask(rem_lo), lo);
-  if (rem > 4) soft_bwd_half<true>(a, c, n8 + 4, tail_mask(rem - 4), hi);
-  for (int q = 0; q < kNumSoftBwdQ; ++q) {
-    _mm256_storeu_pd(acc.lanes[q], lo[q]);
-    _mm256_storeu_pd(acc.lanes[q] + 4, hi[q]);
-  }
-}
-
-/// Constants of one K-tier backward row, broadcast once per row.
-struct SoftBwdKConsts {
-  __m256d tw, bxlo, bxhi, oy, k, inv_a, w3d, invK, wwA, hhA, zero;
-  __m256d oy_gt;
-  __m256d prod[kMaxSoftTiers];
-};
-
-/// One 4-tile half of the K-tier lane group; acc2 points at the caller's
-/// per-tier RUDY2D ymm accumulators, acc5 at {a3d, gxh, gxl, gyh, gyl}.
-template <bool kMasked>
-inline void soft_bwd_k_half(const SoftBwdRowKArgs& a, const SoftBwdKConsts& c,
-                            i64 j, __m128i mk, __m256d* acc2, __m256d* acc5) {
-  const auto load = [&](const float* p) {
-    return _mm256_cvtps_pd(kMasked ? _mm_maskload_ps(p + j, mk)
-                                   : _mm_loadu_ps(p + j));
-  };
-  const __m256d txlo = tile_xlo(j, a.txlo0, a.tw);
-  const __m256d txhi = _mm256_add_pd(txlo, c.tw);
-  const __m256d wx = _mm256_sub_pd(vmin(txhi, c.bxhi), vmax(txlo, c.bxlo));
-  const __m256d wx_gt = _mm256_cmp_pd(wx, c.zero, _CMP_GT_OQ);
-  const __m256d ov =
-      vmask(_mm256_and_pd(wx_gt, c.oy_gt), _mm256_mul_pd(wx, c.oy));
   const __m256d cv = _mm256_mul_pd(_mm256_mul_pd(c.k, ov), c.inv_a);
-  __m256d g3_sum = _mm256_setzero_pd();
-  __m256d t_w = _mm256_setzero_pd();
-  for (int t = 0; t < a.K; ++t) {
+  // Tier sums from the top tier down — the scalar tile's order.
+  constexpr int top = K - 1;
+  const __m256d g2_top = load(a.g2[top]);
+  acc2[top] = _mm256_add_pd(acc2[top], _mm256_mul_pd(g2_top, cv));
+  __m256d t_w = _mm256_mul_pd(g2_top, c.prod[top]);
+  __m256d g3_sum = load(a.g3[top]);
+  for (int t = top - 1; t >= 0; --t) {
     const __m256d g2 = load(a.g2[t]);
     acc2[t] = _mm256_add_pd(acc2[t], _mm256_mul_pd(g2, cv));
     t_w = _mm256_add_pd(t_w, _mm256_mul_pd(g2, c.prod[t]));
@@ -329,6 +220,10 @@ inline void soft_bwd_k_half(const SoftBwdRowKArgs& a, const SoftBwdKConsts& c,
     const __m256d term = vmask(on, _mm256_mul_pd(t_w, dk));
     acc5[3] = _mm256_add_pd(acc5[3], term);
     acc5[4] = _mm256_sub_pd(acc5[4], term);
+    // The y-edge flags are row constants; skipping the add when a flag is 0
+    // matches the scalar "+= 0.0" bitwise because lane accumulators can
+    // never be -0.0 (they start at +0 and x +- (+0) under round-to-nearest
+    // preserves that).
     const __m256d edge = _mm256_mul_pd(
         _mm256_mul_pd(_mm256_mul_pd(t_w, c.k), wx), c.inv_a);
     if (a.y_edge_hi != 0.0)
@@ -338,8 +233,8 @@ inline void soft_bwd_k_half(const SoftBwdRowKArgs& a, const SoftBwdKConsts& c,
   }
 }
 
-void soft_bwd_row_k_avx2(const SoftBwdRowKArgs& a, SoftBwdAccK& acc) {
-  if (a.mcount <= 0) return;
+template <int K>
+void soft_bwd_row_avx2(const SoftBwdRowKArgs& a, SoftBwdAccK& acc) {
   const double inv_a = 1.0 / a.A;
   SoftBwdKConsts c;
   c.tw = _mm256_set1_pd(a.tw);
@@ -354,9 +249,9 @@ void soft_bwd_row_k_avx2(const SoftBwdRowKArgs& a, SoftBwdAccK& acc) {
   c.hhA = _mm256_set1_pd(a.h * a.h * a.A);
   c.zero = _mm256_setzero_pd();
   c.oy_gt = _mm256_cmp_pd(c.oy, c.zero, _CMP_GT_OQ);
-  for (int t = 0; t < a.K; ++t) c.prod[t] = _mm256_set1_pd(a.prod[t]);
-  __m256d a2lo[kMaxSoftTiers], a2hi[kMaxSoftTiers], lo5[5], hi5[5];
-  for (int t = 0; t < a.K; ++t) {
+  for (int t = 0; t < K; ++t) c.prod[t] = _mm256_set1_pd(a.prod[t]);
+  __m256d a2lo[kMaxTiers], a2hi[kMaxTiers], lo5[5], hi5[5];
+  for (int t = 0; t < K; ++t) {
     a2lo[t] = _mm256_loadu_pd(acc.a2[t]);
     a2hi[t] = _mm256_loadu_pd(acc.a2[t] + 4);
   }
@@ -368,18 +263,18 @@ void soft_bwd_row_k_avx2(const SoftBwdRowKArgs& a, SoftBwdAccK& acc) {
   const __m128i full = tail_mask(4);
   const i64 n8 = a.mcount & ~i64{7};
   for (i64 j = 0; j < n8; j += 8) {
-    soft_bwd_k_half<false>(a, c, j, full, a2lo, lo5);
-    soft_bwd_k_half<false>(a, c, j + 4, full, a2hi, hi5);
+    soft_bwd_k_half<false, K>(a, c, j, full, a2lo, lo5);
+    soft_bwd_k_half<false, K>(a, c, j + 4, full, a2hi, hi5);
   }
   const int rem = static_cast<int>(a.mcount - n8);  // 0..7 tail tiles
   const int rem_lo = rem < 4 ? rem : 4;
   if (rem_lo == 4)
-    soft_bwd_k_half<false>(a, c, n8, full, a2lo, lo5);
+    soft_bwd_k_half<false, K>(a, c, n8, full, a2lo, lo5);
   else if (rem_lo > 0)
-    soft_bwd_k_half<true>(a, c, n8, tail_mask(rem_lo), a2lo, lo5);
+    soft_bwd_k_half<true, K>(a, c, n8, tail_mask(rem_lo), a2lo, lo5);
   if (rem > 4)
-    soft_bwd_k_half<true>(a, c, n8 + 4, tail_mask(rem - 4), a2hi, hi5);
-  for (int t = 0; t < a.K; ++t) {
+    soft_bwd_k_half<true, K>(a, c, n8 + 4, tail_mask(rem - 4), a2hi, hi5);
+  for (int t = 0; t < K; ++t) {
     _mm256_storeu_pd(acc.a2[t], a2lo[t]);
     _mm256_storeu_pd(acc.a2[t] + 4, a2hi[t]);
   }
@@ -389,6 +284,13 @@ void soft_bwd_row_k_avx2(const SoftBwdRowKArgs& a, SoftBwdAccK& acc) {
   }
 }
 
+void soft_bwd_row_k_avx2(const SoftBwdRowKArgs& a, SoftBwdAccK& acc) {
+  if (a.mcount <= 0) return;
+  with_tier_count(a.K, [&](auto k) {
+    soft_bwd_row_avx2<decltype(k)::value>(a, acc);
+  });
+}
+
 }  // namespace
 
 const Kernels& avx2_kernels() {
@@ -396,7 +298,6 @@ const Kernels& avx2_kernels() {
     Kernels t = avx2_impl::make_table("avx2");
     t.rudy_row_scaled = rudy_row_scaled_avx2;
     t.overlap_row_scaled = overlap_row_scaled_avx2;
-    t.soft_bwd_row = soft_bwd_row_avx2;
     t.soft_bwd_row_k = soft_bwd_row_k_avx2;
     return t;
   }();

@@ -313,55 +313,13 @@ inline void raster_overlap_row_scaled(i64 mcount, double txlo0, double tw,
     overlap_tile(m, txlo0, tw, bxlo, bxhi, oy, A, nrows, weights, rows);
 }
 
-// Tile j of the K = 2 Eq. 6 backward sweep (soft_maps.cpp), folded into lane
-// j % 8 of every accumulator; masked tiles (no overlap, or zero upstream
-// weight for the position terms) contribute exact +-0, which never changes
-// lane bits (see header note).
-inline void soft_bwd_tile(const SoftBwdRowArgs& a, double inv_a, i64 j,
-                          SoftBwdAcc& acc) {
-  const int lane = static_cast<int>(j & 7);
-  const double txlo = a.txlo0 + static_cast<double>(j) * a.tw;
-  const double wx = std::min(txlo + a.tw, a.bxhi) - std::max(txlo, a.bxlo);
-  const double ov = (wx > 0.0 && a.oy > 0.0) ? wx * a.oy : 0.0;
-  const double c = a.k * ov * inv_a;  // exact +0 when masked
-  const double gt2 = static_cast<double>(a.gt2[j]);
-  const double gb2 = static_cast<double>(a.gb2[j]);
-  const double g3 = static_cast<double>(a.gt3[j]) + static_cast<double>(a.gb3[j]);
-  acc.lanes[kQATop2][lane] += gt2 * c;
-  acc.lanes[kQABot2][lane] += gb2 * c;
-  acc.lanes[kQA3d][lane] += g3 * 0.5 * c;
-  if (!a.want_pos) return;
-  const double t_w =
-      gt2 * a.prod_top + gb2 * a.prod_bot + g3 * 0.5 * a.w3d;
-  const bool on = ov > 0.0 && t_w != 0.0;
-  if (!a.clamped_x) {
-    const double dk = -ov / (a.w * a.w * a.A);
-    acc.lanes[kQGxh][lane] += on ? t_w * dk : 0.0;
-    acc.lanes[kQGxl][lane] -= on ? t_w * dk : 0.0;
-    const double edge = t_w * a.k * a.oy * inv_a;
-    acc.lanes[kQGxh][lane] +=
-        (on && a.bxhi >= txlo && a.bxhi < txlo + a.tw) ? edge : 0.0;
-    acc.lanes[kQGxl][lane] -=
-        (on && a.bxlo > txlo && a.bxlo <= txlo + a.tw) ? edge : 0.0;
-  }
-  if (!a.clamped_y) {
-    const double dk = -ov / (a.h * a.h * a.A);
-    acc.lanes[kQGyh][lane] += on ? t_w * dk : 0.0;
-    acc.lanes[kQGyl][lane] -= on ? t_w * dk : 0.0;
-    const double edge = t_w * a.k * wx * inv_a;
-    acc.lanes[kQGyh][lane] += (on && a.y_edge_hi != 0.0) ? edge : 0.0;
-    acc.lanes[kQGyl][lane] -= (on && a.y_edge_lo != 0.0) ? edge : 0.0;
-  }
-}
-
-inline void raster_soft_bwd_row(const SoftBwdRowArgs& a, SoftBwdAcc& acc) {
-  const double inv_a = 1.0 / a.A;
-  for (i64 j = 0; j < a.mcount; ++j) soft_bwd_tile(a, inv_a, j, acc);
-}
-
-// Tile j of the K-tier Eq. 6 backward sweep: the K = 2 tile generalized to
-// one RUDY2D term per tier (t ascending) and the tier-summed RUDY3D term.
-// Same lane fold and masking contract as soft_bwd_tile.
+// Tile j of the Eq. 6 backward sweep (soft_maps.cpp), folded into lane
+// j % 8 of every accumulator: one RUDY2D term per tier and the tier-summed
+// RUDY3D term, both summed from the top tier down (at K = 2 exactly the
+// two-die order). Masked tiles (no overlap, or zero upstream weight for the
+// position terms) contribute exact +-0, which never changes lane bits (see
+// header note).
+template <int K>
 inline void soft_bwd_tile_k(const SoftBwdRowKArgs& a, double inv_a, i64 j,
                             SoftBwdAccK& acc) {
   const int lane = static_cast<int>(j & 7);
@@ -369,9 +327,12 @@ inline void soft_bwd_tile_k(const SoftBwdRowKArgs& a, double inv_a, i64 j,
   const double wx = std::min(txlo + a.tw, a.bxhi) - std::max(txlo, a.bxlo);
   const double ov = (wx > 0.0 && a.oy > 0.0) ? wx * a.oy : 0.0;
   const double c = a.k * ov * inv_a;  // exact +0 when masked
-  double g3_sum = 0.0;
-  double t_w = 0.0;
-  for (int t = 0; t < a.K; ++t) {
+  constexpr int top = K - 1;
+  const double g2_top = static_cast<double>(a.g2[top][j]);
+  acc.a2[top][lane] += g2_top * c;
+  double t_w = g2_top * a.prod[top];
+  double g3_sum = static_cast<double>(a.g3[top][j]);
+  for (int t = top - 1; t >= 0; --t) {
     const double g2 = static_cast<double>(a.g2[t][j]);
     acc.a2[t][lane] += g2 * c;
     t_w += g2 * a.prod[t];
@@ -404,7 +365,10 @@ inline void soft_bwd_tile_k(const SoftBwdRowKArgs& a, double inv_a, i64 j,
 
 inline void raster_soft_bwd_row_k(const SoftBwdRowKArgs& a, SoftBwdAccK& acc) {
   const double inv_a = 1.0 / a.A;
-  for (i64 j = 0; j < a.mcount; ++j) soft_bwd_tile_k(a, inv_a, j, acc);
+  with_tier_count(a.K, [&](auto k) {
+    for (i64 j = 0; j < a.mcount; ++j)
+      soft_bwd_tile_k<decltype(k)::value>(a, inv_a, j, acc);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -440,7 +404,6 @@ inline Kernels make_table(const char* name) {
   t.reduce_sum = &red_sum;
   t.rudy_row_scaled = &raster_rudy_row_scaled;
   t.overlap_row_scaled = &raster_overlap_row_scaled;
-  t.soft_bwd_row = &raster_soft_bwd_row;
   t.soft_bwd_row_k = &raster_soft_bwd_row_k;
   return t;
 }

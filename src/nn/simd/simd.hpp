@@ -36,6 +36,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/geometry.hpp"
+
 namespace dco3d::nn::simd {
 
 /// Virtual lane count for reductions (fixed: part of the numeric contract).
@@ -50,53 +52,9 @@ inline float combine8f(const float* l) {
   return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
 }
 
-/// Accumulator quantities of one net's Eq. 6 backward tile sweep (K = 2
-/// soft maps). Lanes are merged with combine8() once per net.
-enum SoftBwdQuantity {
-  kQATop2 = 0,  ///< upstream RUDY2D (top die) times k*ov/A
-  kQABot2,      ///< upstream RUDY2D (bottom die)
-  kQA3d,        ///< upstream RUDY3D (both dies, 0.5 each)
-  kQGxh,        ///< position grad of the x-max pin
-  kQGxl,        ///< position grad of the x-min pin
-  kQGyh,        ///< position grad of the y-max pin
-  kQGyl,        ///< position grad of the y-min pin
-  kNumSoftBwdQ
-};
-
-/// 8-lane accumulators for one net's backward sweep (zero-init by caller).
-struct SoftBwdAcc {
-  double lanes[kNumSoftBwdQ][kLanes] = {};
-  double combined(int q) const { return combine8(lanes[q]); }
-};
-
-/// One grid row of the Eq. 6 backward sweep: per-net constants plus row
-/// slices of the upstream gradient maps, offset to the first tile (m0).
-struct SoftBwdRowArgs {
-  std::int64_t mcount = 0;  ///< tiles in this row segment
-  double txlo0 = 0.0;       ///< low x edge of the first tile
-  double tw = 0.0;          ///< tile width
-  double oy = 0.0;          ///< y-overlap of this row with the bbox
-  double A = 0.0;           ///< tile area
-  double k = 0.0;           ///< net RUDY factor (1/w + 1/h)
-  double bxlo = 0.0, bxhi = 0.0;  ///< bbox x extent
-  double w = 0.0, h = 0.0;        ///< bbox dimensions
-  double prod_top = 0.0, prod_bot = 0.0, w3d = 0.0;
-  double y_edge_hi = 0.0;   ///< 1.0 iff bbox.yhi lies in this row's tiles
-  double y_edge_lo = 0.0;   ///< 1.0 iff bbox.ylo lies in this row's tiles
-  bool clamped_x = false, clamped_y = false;
-  bool want_pos = false;    ///< x/y position grads requested
-  const float* gt2 = nullptr;  ///< upstream grad rows at tile (m0, n)
-  const float* gb2 = nullptr;
-  const float* gt3 = nullptr;
-  const float* gb3 = nullptr;
-};
-
-/// Maximum tier count the K-tier backward row kernel supports; taller
-/// stacks fall back to the caller's generic loop.
-inline constexpr int kMaxSoftTiers = 8;
-
-/// One grid row of the K-tier (K >= 3) Eq. 6 backward sweep: the K = 2
-/// structure generalized to one RUDY2D/RUDY3D upstream row per tier.
+/// One grid row of the Eq. 6 backward sweep of the soft maps: per-net
+/// constants plus one RUDY2D/RUDY3D upstream row per tier, offset to the
+/// first tile (m0).
 struct SoftBwdRowKArgs {
   std::int64_t mcount = 0;  ///< tiles in this row segment
   double txlo0 = 0.0;       ///< low x edge of the first tile
@@ -111,17 +69,17 @@ struct SoftBwdRowKArgs {
   double y_edge_lo = 0.0;   ///< 1.0 iff bbox.ylo lies in this row's tiles
   bool clamped_x = false, clamped_y = false;
   bool want_pos = false;    ///< x/y position grads requested
-  int K = 0;                ///< tier count, <= kMaxSoftTiers
-  double prod[kMaxSoftTiers] = {};       ///< per-tier pin-probability product
-  const float* g2[kMaxSoftTiers] = {};   ///< upstream RUDY2D rows at (m0, n)
-  const float* g3[kMaxSoftTiers] = {};   ///< upstream RUDY3D rows at (m0, n)
+  int K = 0;                ///< tier count, 2..kMaxTiers
+  double prod[kMaxTiers] = {};       ///< per-tier pin-probability product
+  const float* g2[kMaxTiers] = {};   ///< upstream RUDY2D rows at (m0, n)
+  const float* g3[kMaxTiers] = {};   ///< upstream RUDY3D rows at (m0, n)
 };
 
-/// 8-lane accumulators for one net's K-tier backward sweep (zero-init by
-/// caller); merge each quantity with combine8().
+/// 8-lane accumulators for one net's backward sweep (zero-init by caller);
+/// merge each quantity with combine8().
 struct SoftBwdAccK {
-  double a2[kMaxSoftTiers][kLanes] = {};  ///< per-tier RUDY2D times k*ov/A
-  double a3d[kLanes] = {};                ///< shared RUDY3D sum times k*ov/A
+  double a2[kMaxTiers][kLanes] = {};  ///< per-tier RUDY2D times k*ov/A
+  double a3d[kLanes] = {};            ///< shared RUDY3D sum times k*ov/A
   double gxh[kLanes] = {}, gxl[kLanes] = {};  ///< x position grads
   double gyh[kLanes] = {}, gyl[kLanes] = {};  ///< y position grads
 };
@@ -194,11 +152,9 @@ struct Kernels {
                              double bxlo, double bxhi, double oy, double A,
                              int nrows, const double* weights,
                              float* const* rows);
-  // One grid row of the K = 2 Eq. 6 backward sweep; folds tile j (0-based
-  // within the row) into lane j % 8 of every accumulator.
-  void (*soft_bwd_row)(const SoftBwdRowArgs& a, SoftBwdAcc& acc);
-  // The K-tier generalization (K <= kMaxSoftTiers): same lane fold, one
-  // RUDY2D accumulator per tier plus the shared RUDY3D/position terms.
+  // One grid row of the Eq. 6 backward sweep; folds tile j (0-based within
+  // the row) into lane j % 8 of every accumulator. Tier sums run from the
+  // top tier down, so K = 2 keeps the two-die operation order.
   void (*soft_bwd_row_k)(const SoftBwdRowKArgs& a, SoftBwdAccK& acc);
 };
 

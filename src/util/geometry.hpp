@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <type_traits>
 
 namespace dco3d {
 
@@ -92,5 +93,28 @@ struct BBox {
 };
 
 inline double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
+
+/// Largest supported die count of a stack (every tier-count entry point —
+/// CLI, serve specs, placement and route files — rejects more). Fixed-size
+/// per-tier scratch in the soft maps and the SIMD backward row relies on it.
+inline constexpr int kMaxTiers = 8;
+
+/// Calls f(std::integral_constant<int, K>{}) for a tier count K in
+/// [2, kMaxTiers], so per-tier loops in hot kernels get a compile-time trip
+/// count (one source body, one instantiation per K). K outside the range
+/// must be rejected by the caller first.
+template <class F>
+decltype(auto) with_tier_count(int K, F&& f) {
+  static_assert(kMaxTiers == 8, "extend the cases below");
+  switch (K) {
+    case 2: return f(std::integral_constant<int, 2>{});
+    case 3: return f(std::integral_constant<int, 3>{});
+    case 4: return f(std::integral_constant<int, 4>{});
+    case 5: return f(std::integral_constant<int, 5>{});
+    case 6: return f(std::integral_constant<int, 6>{});
+    case 7: return f(std::integral_constant<int, 7>{});
+    default: return f(std::integral_constant<int, 8>{});
+  }
+}
 
 }  // namespace dco3d

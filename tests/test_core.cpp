@@ -1,6 +1,9 @@
 // Core DCO-3D tests: Table-II features, the four losses (with gradient
 // checks on the custom nodes), the GNN spreader, and the trainer.
 
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/dco.hpp"
@@ -241,6 +244,39 @@ TEST(Spreader, ZInUnitInterval) {
   }
 }
 
+TEST(Spreader, CommitBreaksExactTiesTowardTheHigherTier) {
+  const Netlist nl = tiny_design(120);
+  PlacementParams params;
+  for (const auto& [tiers, above, want] :
+       std::vector<std::tuple<int, std::vector<float>, int>>{
+           {2, {0.5f}, 1},          // z = 0.5: p = {0.5, 0.5}
+           {3, {0.8f, 0.4f}, 2},    // p = {0.2, 0.4, 0.4}
+           {3, {0.5f, 0.0f}, 1}}) { // p = {0.5, 0.5, 0}
+    SCOPED_TRACE(::testing::Message() << "K=" << tiers << " want=" << want);
+    const Placement3D pl = place_pseudo3d(nl, params, 3, false, tiers);
+    Rng rng(11);
+    GnnSpreader spreader(nl, pl, {}, rng);
+    const auto n = static_cast<std::int64_t>(pl.size());
+    SpreaderOutput out;
+    nn::Tensor x({n}), y({n});
+    for (std::int64_t i = 0; i < n; ++i) {
+      x[i] = static_cast<float>(pl.xy[static_cast<std::size_t>(i)].x);
+      y[i] = static_cast<float>(pl.xy[static_cast<std::size_t>(i)].y);
+    }
+    out.x = nn::make_leaf(x);
+    out.y = nn::make_leaf(y);
+    for (const float a : above)
+      out.above.push_back(nn::make_leaf(nn::Tensor({n}, a)));
+    out.z = out.above[0];
+    Placement3D committed = pl;
+    spreader.commit(out, committed);
+    for (std::size_t i = 0; i < nl.num_cells(); ++i)
+      EXPECT_EQ(committed.tier[i],
+                nl.is_movable(static_cast<CellId>(i)) ? want : pl.tier[i])
+          << "cell " << i;
+  }
+}
+
 TEST(Spreader, CommitWritesHardTiers) {
   const Netlist nl = tiny_design(250);
   PlacementParams params;
@@ -287,8 +323,8 @@ TEST(Trainer, PredictionShapesMatchLabels) {
   tcfg.epochs = 1;
   tcfg.unet.base_channels = 4;
   const Predictor p = train_predictor(data, tcfg);
-  nn::Tensor out[2];
-  p.predict(data[0], out);
+  const std::vector<nn::Tensor> out = p.predict(data[0]);
+  ASSERT_EQ(out.size(), 2u);
   for (int die = 0; die < 2; ++die)
     EXPECT_EQ(out[die].shape(), data[0].labels[die].shape());
   const auto ev = evaluate_predictor(p, {&data[0], &data[1]});

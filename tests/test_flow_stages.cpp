@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <vector>
 
+#include "flow/artifact.hpp"
 #include "flow/pin3d.hpp"
 #include "flow/signoff.hpp"
 #include "flow/stage.hpp"
@@ -237,6 +240,39 @@ TEST(Pipeline, ResumeWithoutArtifactIsNotFound) {
     EXPECT_EQ(e.status().code(), StatusCode::kNotFound);
   }
   std::filesystem::remove_all(cache);
+}
+
+TEST(Pipeline, ArtifactReaderBoundsTheTierCount) {
+  const Netlist design = testing::tiny_design(150);
+  PipelineOptions opts;
+  opts.stop_after = "route";
+  FlowContext ctx = make_flow_context(design, small_cfg());
+  pin3d_pipeline().run(ctx, opts);
+  ASSERT_TRUE(ctx.route_valid);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "dco3d_tier_bound_artifact";
+  std::filesystem::remove_all(dir);
+  save_flow_artifact(dir.string(), ctx);
+
+  // Rewrite the route's tier count past the bound.
+  const std::filesystem::path route = dir / "route.txt";
+  std::stringstream text;
+  text << std::ifstream(route).rdbuf();
+  std::string body = text.str();
+  const std::size_t at = body.find("\ntiers 2\n");
+  ASSERT_NE(at, std::string::npos);
+  body.replace(at, 9, "\ntiers " + std::to_string(kMaxTiers + 1) + "\n");
+  std::ofstream(route, std::ios::trunc) << body;
+
+  FlowContext back = make_flow_context(design, small_cfg());
+  try {
+    load_flow_artifact(dir.string(), back);
+    FAIL() << "expected StatusError";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(std::string(e.what()).find("tiers"), std::string::npos);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Pipeline, StopAfterSkipsLaterStages) {

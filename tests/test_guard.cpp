@@ -200,8 +200,9 @@ TEST_F(GuardTest, TrainerDeadlineCommitsUsableModel) {
   EXPECT_LT(p.curve.size(), 500u);
   ASSERT_TRUE(p.model);
   EXPECT_TRUE(params_finite(p.model->parameters()));
-  nn::Tensor out[2];
-  p.predict(data[0], out);  // the committed model must be usable
+  // The committed model must be usable.
+  const std::vector<nn::Tensor> out = p.predict(data[0]);
+  ASSERT_EQ(out.size(), 2u);
   EXPECT_TRUE(all_finite(out[0]));
   EXPECT_TRUE(all_finite(out[1]));
 }

@@ -90,8 +90,8 @@ TEST_F(DcoPipeline, PredictorBeatsRudyOnHeldOut) {
   split_dataset(*dataset_, 0.2, train, test);
   ASSERT_FALSE(test.empty());
   const DataSample& s = *test[0];
-  nn::Tensor out[2];
-  predictor_->predict(s, out);
+  const std::vector<nn::Tensor> out = predictor_->predict(s);
+  ASSERT_EQ(out.size(), 2u);
   // RUDY proxy: 2D + 3D RUDY channels of the input features.
   const auto hw = static_cast<std::size_t>(s.features[0].dim(2) *
                                            s.features[0].dim(3));
@@ -467,6 +467,71 @@ TEST(DcoCandidates, RecordListsEveryTrialRouteInScoringOrder) {
 // global route of every hard candidate) across restarts, recorded from the
 // serial scorer. The committed placement, the iterate it came from and both
 // trial-route scores must not depend on the worker-pool size.
+
+// The same contract on a three-tier stack, where the survival-form tier
+// relaxation has no two-die special case: thread-invariant decisions, a
+// commit that never routes worse than its input, and an untouched input
+// when nothing improved. The free runs improve; the frozen run (no tier
+// freedom and no displacement, so every candidate is the input up to float
+// rounding) cannot.
+TEST(DcoContract, ThreeTierCommitIsThreadInvariantAndGated) {
+  testing::ThreadGuard guard;
+  const Netlist design = congested_ldpc();
+  const Placement3D input = place_pseudo3d(design, PlacementParams{}, 5,
+                                           /*legalized=*/false, /*tiers=*/3);
+  const Predictor pred = fixed_init_predictor();
+  const double input_score =
+      trial_route_score(design, input, congested_route_config());
+
+  struct Run {
+    std::uint64_t seed;
+    bool frozen;
+  };
+  for (const Run run : {Run{17, false}, Run{18, false}, Run{17, true}}) {
+    DcoConfig cfg = congested_route_config();
+    cfg.restarts = 1;
+    cfg.seed = run.seed;
+    cfg.spreader.freeze_tier = run.frozen;
+    cfg.spreader.max_disp_frac = run.frozen ? 0.0 : cfg.spreader.max_disp_frac;
+    std::uint64_t ref_hash = 0;
+    int ref_best_iter = 0;
+    std::vector<DcoCandidate> ref_candidates;
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(::testing::Message() << "seed=" << run.seed << " frozen="
+                                        << run.frozen << " threads=" << threads);
+      util::set_num_threads(threads);
+      const DcoResult r = run_dco(design, input, pred, TimingConfig{}, cfg);
+      ASSERT_EQ(r.placement.num_tiers, 3);
+      const std::uint64_t hash = testing::placement_hash(r.placement);
+      if (threads > 1) {
+        EXPECT_EQ(hash, ref_hash);
+        EXPECT_EQ(r.best_iter, ref_best_iter);
+        ASSERT_EQ(r.candidates.size(), ref_candidates.size());
+        for (std::size_t c = 0; c < ref_candidates.size(); ++c) {
+          EXPECT_EQ(r.candidates[c].restart, ref_candidates[c].restart);
+          EXPECT_EQ(r.candidates[c].iter, ref_candidates[c].iter);
+          EXPECT_EQ(r.candidates[c].score, ref_candidates[c].score);
+        }
+        continue;
+      }
+      ref_hash = hash;
+      ref_best_iter = r.best_iter;
+      ref_candidates = r.candidates;
+      EXPECT_EQ(r.initial_score, input_score);
+      const double committed = trial_route_score(design, r.placement, cfg);
+      EXPECT_LE(committed, input_score);
+      EXPECT_EQ(committed, r.best_loss);
+      EXPECT_EQ(r.improved, !run.frozen);
+      if (r.improved) {
+        EXPECT_LT(committed, input_score);
+      } else {
+        EXPECT_EQ(r.placement.xy, input.xy);
+        EXPECT_EQ(r.placement.tier, input.tier);
+        EXPECT_EQ(r.cells_moved_tier, 0u);
+      }
+    }
+  }
+}
 
 TEST(DcoGolden, SelectByRouteBitIdenticalAcrossThreads) {
   testing::ThreadGuard guard;

@@ -119,6 +119,29 @@ TEST(PlacementIo, RejectsBadTier) {
   EXPECT_THROW(read_placement(ss, 1), std::runtime_error);
 }
 
+TEST(PlacementIo, TierCountIsBoundedWithLineNumber) {
+  const auto file = [](int tiers) {
+    return "dco3d-placement v1\n"
+           "outline 0 0 10 10\n"
+           "tiers " + std::to_string(tiers) + "\n"
+           "place 0 1 1 0\n";
+  };
+  std::stringstream ok(file(kMaxTiers));
+  EXPECT_EQ(read_placement(ok, 1).num_tiers, kMaxTiers);
+  for (const int tiers : {1, kMaxTiers + 1}) {
+    SCOPED_TRACE(tiers);
+    std::stringstream bad(file(tiers));
+    try {
+      read_placement(bad, 1);
+      FAIL() << "expected StatusError";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ModelIo, RoundTripPredictionsIdentical) {
   // Train a tiny predictor, save, load, and verify identical predictions.
   const Netlist design = testing::tiny_design(250);
@@ -142,9 +165,10 @@ TEST(ModelIo, RoundTripPredictionsIdentical) {
   const Predictor loaded = load_predictor(ss);
 
   EXPECT_FLOAT_EQ(loaded.label_scale, original.label_scale);
-  nn::Tensor out_a[2], out_b[2];
-  original.predict(data[0], out_a);
-  loaded.predict(data[0], out_b);
+  const std::vector<nn::Tensor> out_a = original.predict(data[0]);
+  const std::vector<nn::Tensor> out_b = loaded.predict(data[0]);
+  ASSERT_EQ(out_a.size(), 2u);
+  ASSERT_EQ(out_b.size(), 2u);
   for (int die = 0; die < 2; ++die) {
     ASSERT_EQ(out_b[die].shape(), out_a[die].shape());
     for (std::int64_t i = 0; i < out_a[die].numel(); ++i)

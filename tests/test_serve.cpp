@@ -343,6 +343,23 @@ TEST_F(ServeTest, NoNewlineFloodGetsProtocolErrorAndClose) {
   server.wait();
 }
 
+TEST_F(ServeTest, SubmitRejectsTierCountsOutsideTheSupportedRange) {
+  Server server(small_cfg(""));
+  server.start();
+  for (const char* tiers : {"1", "9", "1e20", "-1e20"}) {
+    SCOPED_TRACE(tiers);
+    const std::string req =
+        R"({"cmd":"submit","kind":"dma","scale":0.01,"grid":8,"tiers":)" +
+        std::string(tiers) + "}";
+    const util::JsonObject r = rpc(server.port(), req);
+    EXPECT_FALSE(util::json_bool(r, "ok", true));
+    EXPECT_EQ(util::json_str(r, "status", ""), "invalid_argument");
+    EXPECT_NE(util::json_str(r, "message", "").find("tiers"), std::string::npos);
+  }
+  server.request_drain();
+  server.wait();
+}
+
 TEST_F(ServeTest, SubmitWaitRunsJobToCompletion) {
   Server server(small_cfg("dco3d_serve_basic"));
   server.start();

@@ -207,7 +207,7 @@ TEST(SimdParity, RasterRowKernelsBitExactAcrossBackends) {
     SCOPED_TRACE(::testing::Message() << "bxhi=" << bxhi);
     const double bxlo = 4.2;
     std::vector<float> ref_rudy, ref_rudy_b, ref_ov0, ref_ov1;
-    nn::simd::SoftBwdAcc ref_acc;
+    nn::simd::SoftBwdAccK ref_acc;
     nn::simd::SoftBwdAccK ref_acck;
     bool have_ref = false;
     for (const std::string& name : backend_names()) {
@@ -237,7 +237,9 @@ TEST(SimdParity, RasterRowKernelsBitExactAcrossBackends) {
       fill(gb2, 12);
       fill(gt3, 13);
       fill(gb3, 14);
-      nn::simd::SoftBwdRowArgs row;
+      // The backward row at K = 2 and at K = 3 (the third tier mixes the
+      // row buffers), on the same geometry and upstream maps.
+      nn::simd::SoftBwdRowKArgs row;
       row.mcount = mcount;
       row.txlo0 = txlo0;
       row.tw = tw;
@@ -248,49 +250,28 @@ TEST(SimdParity, RasterRowKernelsBitExactAcrossBackends) {
       row.bxhi = bxhi;
       row.w = bxhi - bxlo;
       row.h = 3.7;
-      row.prod_top = 0.6;
-      row.prod_bot = 0.2;
       row.w3d = 0.2;
+      row.invK = 0.5;
       row.y_edge_hi = 1.0;
       row.y_edge_lo = 0.0;
       row.clamped_x = false;
       row.clamped_y = false;
       row.want_pos = true;
-      row.gt2 = gt2.data();
-      row.gb2 = gb2.data();
-      row.gt3 = gt3.data();
-      row.gb3 = gb3.data();
-      nn::simd::SoftBwdAcc acc;
-      kern.soft_bwd_row(row, acc);
+      row.K = 2;
+      row.prod[0] = 0.2;
+      row.prod[1] = 0.6;
+      row.g2[0] = gb2.data();
+      row.g2[1] = gt2.data();
+      row.g3[0] = gb3.data();
+      row.g3[1] = gt3.data();
+      nn::simd::SoftBwdAccK acc;
+      kern.soft_bwd_row_k(row, acc);
 
-      // The K-tier generalization at K = 3, reusing the K = 2 row's
-      // geometry and upstream maps (third tier mixes the row buffers).
-      nn::simd::SoftBwdRowKArgs rowk;
-      rowk.mcount = mcount;
-      rowk.txlo0 = txlo0;
-      rowk.tw = tw;
-      rowk.oy = row.oy;
-      rowk.A = A;
-      rowk.k = row.k;
-      rowk.bxlo = bxlo;
-      rowk.bxhi = bxhi;
-      rowk.w = row.w;
-      rowk.h = row.h;
-      rowk.w3d = row.w3d;
+      nn::simd::SoftBwdRowKArgs rowk = row;
       rowk.invK = 1.0 / 3.0;
-      rowk.y_edge_hi = row.y_edge_hi;
-      rowk.y_edge_lo = row.y_edge_lo;
-      rowk.clamped_x = false;
-      rowk.clamped_y = false;
-      rowk.want_pos = true;
       rowk.K = 3;
-      rowk.prod[0] = 0.2;
-      rowk.prod[1] = 0.6;
       rowk.prod[2] = 0.15;
-      rowk.g2[0] = gb2.data();
-      rowk.g2[1] = gt2.data();
       rowk.g2[2] = gt3.data();
-      rowk.g3[0] = gb3.data();
       rowk.g3[1] = gt3.data();
       rowk.g3[2] = gb2.data();
       nn::simd::SoftBwdAccK acck;
@@ -430,19 +411,24 @@ TEST(SimdInvariance, SoftMapsK3GradsBitIdenticalAcrossThreadsAndBackends) {
   const auto n = static_cast<std::int64_t>(pl.size());
   constexpr int kTiers = 3;
   nn::Tensor tx({n}), ty({n});
-  std::array<nn::Tensor, kTiers> tp;
-  for (auto& t : tp) t = nn::Tensor({n});
+  // Survival vectors above[j] = P(T > j) of 0.6 on the own tier and 0.2 on
+  // each other one.
+  std::array<nn::Tensor, kTiers - 1> ta;
+  for (auto& t : ta) t = nn::Tensor({n});
   for (std::int64_t i = 0; i < n; ++i) {
     tx.data()[i] = static_cast<float>(pl.xy[static_cast<std::size_t>(i)].x);
     ty.data()[i] = static_cast<float>(pl.xy[static_cast<std::size_t>(i)].y);
     const int tier = pl.tier[static_cast<std::size_t>(i)] % kTiers;
-    for (int t = 0; t < kTiers; ++t)
-      tp[static_cast<std::size_t>(t)].data()[i] = t == tier ? 0.6f : 0.2f;
+    for (int j = 0; j + 1 < kTiers; ++j) {
+      float a = 0.0f;
+      for (int t = j + 1; t < kTiers; ++t) a += t == tier ? 0.6f : 0.2f;
+      ta[static_cast<std::size_t>(j)].data()[i] = a;
+    }
   }
   nn::Var x = nn::make_leaf(std::move(tx), /*requires_grad=*/true);
   nn::Var y = nn::make_leaf(std::move(ty), /*requires_grad=*/true);
   std::vector<nn::Var> p;
-  for (auto& t : tp) p.push_back(nn::make_leaf(std::move(t), true));
+  for (auto& t : ta) p.push_back(nn::make_leaf(std::move(t), true));
 
   std::vector<float> ref_value, ref_grads;
   bool have_ref = false;

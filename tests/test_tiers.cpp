@@ -4,7 +4,7 @@
 //    metrics captured from the seed build);
 //  - three-tier soft maps and losses have thread-invariant gradients
 //    (bit-identical across 1/2/8 threads, the parallel-kernel contract);
-//  - the K-tier probability-vector losses match finite differences;
+//  - the survival-form (above[j] = P(T > j)) losses match finite differences;
 //  - K-way FM keeps every tier area-balanced, never increases the cut, and
 //    never moves fixed cells;
 //  - predictor checkpoints round-trip at K = 3 and forward_n at K = 2
@@ -144,11 +144,12 @@ TEST(TiersGolden, TwoTierDcoBitIdenticalToSeedAcrossThreads) {
 // values AND gradients at any worker-pool size (deterministic chunked
 // reduction contract).
 
-/// Per-cell x/y leaves plus one tier-probability leaf per tier, seeded from a
-/// legalized K-tier placement with a little mass spread onto the other tiers.
+/// Per-cell x/y leaves plus the K-1 survival leaves above[j] = P(T > j),
+/// seeded from a legalized K-tier placement with 0.6 on the cell's own tier
+/// and the rest spread evenly over the other tiers.
 struct SoftStateK {
   nn::Var x, y;
-  std::vector<nn::Var> p;
+  std::vector<nn::Var> above;
 };
 
 SoftStateK make_soft_state(const Placement3D& pl, int num_tiers) {
@@ -161,13 +162,16 @@ SoftStateK make_soft_state(const Placement3D& pl, int num_tiers) {
   SoftStateK s;
   s.x = nn::make_leaf(std::move(tx), /*requires_grad=*/true);
   s.y = nn::make_leaf(std::move(ty), /*requires_grad=*/true);
-  for (int t = 0; t < num_tiers; ++t) {
-    nn::Tensor tp({n});
-    for (std::int64_t i = 0; i < n; ++i)
-      tp.data()[i] = pl.tier[static_cast<std::size_t>(i)] == t
-                         ? 0.6f
-                         : 0.4f / static_cast<float>(num_tiers - 1);
-    s.p.push_back(nn::make_leaf(std::move(tp), /*requires_grad=*/true));
+  const float other = 0.4f / static_cast<float>(num_tiers - 1);
+  for (int j = 0; j + 1 < num_tiers; ++j) {
+    nn::Tensor ta({n});
+    for (std::int64_t i = 0; i < n; ++i) {
+      float a = 0.0f;
+      for (int t = j + 1; t < num_tiers; ++t)
+        a += pl.tier[static_cast<std::size_t>(i)] == t ? 0.6f : other;
+      ta.data()[i] = a;
+    }
+    s.above.push_back(nn::make_leaf(std::move(ta), /*requires_grad=*/true));
   }
   return s;
 }
@@ -179,13 +183,13 @@ std::vector<float> snapshot_grads(const SoftStateK& s) {
   };
   append(s.x);
   append(s.y);
-  for (const nn::Var& p : s.p) append(p);
+  for (const nn::Var& a : s.above) append(a);
   return out;
 }
 
 std::vector<nn::Var> all_leaves(const SoftStateK& s) {
   std::vector<nn::Var> leaves = {s.x, s.y};
-  leaves.insert(leaves.end(), s.p.begin(), s.p.end());
+  leaves.insert(leaves.end(), s.above.begin(), s.above.end());
   return leaves;
 }
 
@@ -202,7 +206,7 @@ TEST(TiersThreadInvariance, ThreeTierSoftMapGradsBitIdentical) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     util::set_num_threads(threads);
     nn::zero_grad(all_leaves(s));
-    const SoftMaps maps = soft_feature_maps(nl, grid, s.x, s.y, s.p);
+    const SoftMaps maps = soft_feature_maps(nl, grid, s.x, s.y, s.above);
     EXPECT_EQ(maps.num_tiers, 3);
     // Snapshot before backward: the tape reclaims interior values after it.
     std::vector<float> value(maps.stacked->value.data().begin(),
@@ -240,11 +244,11 @@ TEST(TiersThreadInvariance, ThreeTierLossGradsBitIdentical) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     util::set_num_threads(threads);
     nn::zero_grad(all_leaves(s));
-    const nn::Var cut = cutsize_loss(s.p, edges);
+    const nn::Var cut = cutsize_loss(s.above, edges);
     const nn::Var ovlp =
-        overlap_loss(nl, s.x, s.y, s.p, pl.outline, 8, 8, 0.5);
+        overlap_loss(nl, s.x, s.y, s.above, pl.outline, 8, 8, 0.5);
     const nn::Var therm =
-        thermal_density_loss(nl, s.x, s.y, s.p, power, pl.outline, 8, 8);
+        thermal_density_loss(nl, s.x, s.y, s.above, power, pl.outline, 8, 8);
     // Snapshot before backward: the tape reclaims interior values after it.
     const std::vector<double> value = {cut->value[0], ovlp->value[0],
                                        therm->value[0]};
@@ -261,19 +265,18 @@ TEST(TiersThreadInvariance, ThreeTierLossGradsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// K-tier loss gradients vs finite differences (the probability-vector
-// overloads have hand-written backwards).
+// K-tier loss gradients vs finite differences (the survival-form ops have
+// hand-written backwards). Three tiers: above = {P(T > 0), P(T > 1)}.
 
 TEST(TiersLossGradients, CutsizeProbabilityOverloadNumerical) {
   auto edges = std::make_shared<
       const std::vector<std::pair<std::int64_t, std::int64_t>>>(
       std::vector<std::pair<std::int64_t, std::int64_t>>{
           {0, 1}, {1, 2}, {2, 3}, {0, 3}, {1, 3}});
-  std::vector<nn::Var> p = {
-      nn::make_leaf(nn::Tensor({4}, {0.5f, 0.2f, 0.3f, 0.6f}), true),
-      nn::make_leaf(nn::Tensor({4}, {0.3f, 0.5f, 0.4f, 0.25f}), true),
+  std::vector<nn::Var> above = {
+      nn::make_leaf(nn::Tensor({4}, {0.5f, 0.8f, 0.7f, 0.4f}), true),
       nn::make_leaf(nn::Tensor({4}, {0.2f, 0.3f, 0.3f, 0.15f}), true)};
-  testing::check_gradients([&] { return cutsize_loss(p, edges); }, p);
+  testing::check_gradients([&] { return cutsize_loss(above, edges); }, above);
 }
 
 TEST(TiersLossGradients, OverlapAndThermalProbabilityOverloadNumerical) {
@@ -282,54 +285,23 @@ TEST(TiersLossGradients, OverlapAndThermalProbabilityOverloadNumerical) {
   for (int i = 0; i < 3; ++i) nl.add_cell("c", dff);
   nn::Var x = nn::make_leaf(nn::Tensor({3}, {0.8f, 1.0f, 1.3f}), true);
   nn::Var y = nn::make_leaf(nn::Tensor({3}, {1.0f, 1.05f, 0.9f}), true);
-  std::vector<nn::Var> p = {
-      nn::make_leaf(nn::Tensor({3}, {0.5f, 0.3f, 0.2f}), true),
-      nn::make_leaf(nn::Tensor({3}, {0.3f, 0.4f, 0.3f}), true),
+  std::vector<nn::Var> above = {
+      nn::make_leaf(nn::Tensor({3}, {0.5f, 0.7f, 0.8f}), true),
       nn::make_leaf(nn::Tensor({3}, {0.2f, 0.3f, 0.5f}), true)};
   const Rect outline{0, 0, 2, 2};
-  // Only the tier-probability gradients are exact; the positional gradients
-  // use the Eq. (6)-style subgradient (c_norm and the bin window are treated
-  // as constants), so they are checked via K = 2 equivalence below instead.
+  // Only the tier-state gradients are exact; the positional gradients use
+  // the Eq. (6)-style subgradient (c_norm and the bin window are treated as
+  // constants).
   testing::check_gradients(
-      [&] { return overlap_loss(nl, x, y, p, outline, 4, 4, 0.01); }, p);
+      [&] { return overlap_loss(nl, x, y, above, outline, 4, 4, 0.01); },
+      above);
 
   const nn::Tensor power({3}, {0.2f, 0.5f, 0.3f});
   testing::check_gradients(
-      [&] { return thermal_density_loss(nl, x, y, p, power, outline, 4, 4); },
-      p);
-}
-
-TEST(TiersLossGradients, OverlapTwoTierMatchesLegacyScalarZ) {
-  // With K = 2 and p = {1-z, z}, the probability overload must agree with the
-  // (gradient-checked) scalar-z overlap loss: same value, same x/y gradients,
-  // and gz = gp1 - gp0 (chain rule through p0 = 1-z, p1 = z).
-  Netlist nl(Library::make_default());
-  const CellTypeId dff = nl.library().find(CellFunction::kDff, 2);
-  for (int i = 0; i < 3; ++i) nl.add_cell("c", dff);
-  const nn::Tensor zt({3}, {0.4f, 0.5f, 0.6f});
-  nn::Tensor one_minus({3});
-  for (int i = 0; i < 3; ++i) one_minus[i] = 1.0f - zt[i];
-
-  nn::Var xz = nn::make_leaf(nn::Tensor({3}, {0.8f, 1.0f, 1.3f}), true);
-  nn::Var yz = nn::make_leaf(nn::Tensor({3}, {1.0f, 1.05f, 0.9f}), true);
-  nn::Var z = nn::make_leaf(zt, true);
-  nn::Var xp = nn::make_leaf(xz->value, true);
-  nn::Var yp = nn::make_leaf(yz->value, true);
-  std::vector<nn::Var> p = {nn::make_leaf(one_minus, true),
-                            nn::make_leaf(zt, true)};
-  const Rect outline{0, 0, 2, 2};
-
-  const nn::Var lz = overlap_loss(nl, xz, yz, z, outline, 4, 4, 0.01);
-  const nn::Var lp = overlap_loss(nl, xp, yp, p, outline, 4, 4, 0.01);
-  EXPECT_NEAR(lz->value[0], lp->value[0], 1e-6);
-  nn::zero_grad({xz, yz, z, xp, yp, p[0], p[1]});
-  nn::backward(lz);
-  nn::backward(lp);
-  for (std::int64_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(xz->grad[i], xp->grad[i], 1e-6) << "x " << i;
-    EXPECT_NEAR(yz->grad[i], yp->grad[i], 1e-6) << "y " << i;
-    EXPECT_NEAR(z->grad[i], p[1]->grad[i] - p[0]->grad[i], 1e-6) << "z " << i;
-  }
+      [&] {
+        return thermal_density_loss(nl, x, y, above, power, outline, 4, 4);
+      },
+      above);
 }
 
 // ---------------------------------------------------------------------------

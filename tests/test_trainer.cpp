@@ -58,9 +58,10 @@ TEST(Trainer, DeterministicForSeed) {
   const auto data = tiny_dataset();
   const Predictor a = train_predictor(data, tiny_train_config(2));
   const Predictor b = train_predictor(data, tiny_train_config(2));
-  nn::Tensor out_a[2], out_b[2];
-  a.predict(data[0], out_a);
-  b.predict(data[0], out_b);
+  const std::vector<nn::Tensor> out_a = a.predict(data[0]);
+  const std::vector<nn::Tensor> out_b = b.predict(data[0]);
+  ASSERT_EQ(out_a.size(), 2u);
+  ASSERT_EQ(out_b.size(), 2u);
   for (std::int64_t i = 0; i < out_a[0].numel(); ++i)
     EXPECT_FLOAT_EQ(out_a[0][i], out_b[0][i]);
 }
@@ -71,9 +72,10 @@ TEST(Trainer, DifferentSeedsDifferentModels) {
   c2.seed = c1.seed + 1;
   const Predictor a = train_predictor(data, c1);
   const Predictor b = train_predictor(data, c2);
-  nn::Tensor out_a[2], out_b[2];
-  a.predict(data[0], out_a);
-  b.predict(data[0], out_b);
+  const std::vector<nn::Tensor> out_a = a.predict(data[0]);
+  const std::vector<nn::Tensor> out_b = b.predict(data[0]);
+  ASSERT_EQ(out_a.size(), 2u);
+  ASSERT_EQ(out_b.size(), 2u);
   double diff = 0.0;
   for (std::int64_t i = 0; i < out_a[0].numel(); ++i)
     diff += std::abs(out_a[0][i] - out_b[0][i]);
@@ -94,8 +96,8 @@ TEST(Trainer, LabelScalePositiveAndApplied) {
   const Predictor p = train_predictor(data, tiny_train_config(1));
   EXPECT_GT(p.label_scale, 0.0f);
   // Predictions come back in label units: same order of magnitude as labels.
-  nn::Tensor out[2];
-  p.predict(data[0], out);
+  const std::vector<nn::Tensor> out = p.predict(data[0]);
+  ASSERT_EQ(out.size(), 2u);
   float label_max = 0.0f, pred_max = 0.0f;
   for (const DataSample& s : data)
     for (int die = 0; die < 2; ++die)

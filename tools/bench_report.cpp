@@ -124,11 +124,13 @@ void write_context(std::FILE* f, const char* schema, const std::string& design,
                DCO3D_GIT_DESCRIBE, util::num_threads());
 }
 
-/// Per-cell position/tier leaves for the differentiable kernels. K = 2 uses
-/// the legacy scalar-z relaxation, K > 2 one probability vector per tier.
+/// Per-cell position leaves and the K-1 survival leaves above[j] = P(T > j)
+/// for the differentiable kernels: at K = 2 a soft z of 0.8 on the top die
+/// and 0.2 on the bottom one, for K > 2 tier probabilities of 0.6 on the
+/// cell's own tier and the rest spread evenly over the others.
 struct SoftState {
-  nn::Var x, y, z;
-  std::vector<nn::Var> p;
+  nn::Var x, y;
+  std::vector<nn::Var> above;
 };
 
 SoftState make_soft_state(const Placement3D& pl, int num_tiers) {
@@ -141,19 +143,18 @@ SoftState make_soft_state(const Placement3D& pl, int num_tiers) {
   SoftState s;
   s.x = nn::make_leaf(std::move(tx), /*requires_grad=*/true);
   s.y = nn::make_leaf(std::move(ty), /*requires_grad=*/true);
-  if (num_tiers == 2) {
-    nn::Tensor tz({n});
-    for (std::int64_t i = 0; i < n; ++i)
-      tz.data()[i] = pl.tier[static_cast<std::size_t>(i)] == 1 ? 0.8f : 0.2f;
-    s.z = nn::make_leaf(std::move(tz), /*requires_grad=*/true);
-  } else {
-    for (int t = 0; t < num_tiers; ++t) {
-      nn::Tensor tp({n});
-      for (std::int64_t i = 0; i < n; ++i)
-        tp.data()[i] = pl.tier[static_cast<std::size_t>(i)] == t ? 0.6f
-                       : 0.4f / static_cast<float>(num_tiers - 1);
-      s.p.push_back(nn::make_leaf(std::move(tp), /*requires_grad=*/true));
+  const float own = num_tiers == 2 ? 0.8f : 0.6f;
+  const float other =
+      num_tiers == 2 ? 0.2f : 0.4f / static_cast<float>(num_tiers - 1);
+  for (int j = 0; j + 1 < num_tiers; ++j) {
+    nn::Tensor ta({n});
+    for (std::int64_t i = 0; i < n; ++i) {
+      float a = 0.0f;
+      for (int t = j + 1; t < num_tiers; ++t)
+        a += pl.tier[static_cast<std::size_t>(i)] == t ? own : other;
+      ta.data()[i] = a;
     }
+    s.above.push_back(nn::make_leaf(std::move(ta), /*requires_grad=*/true));
   }
   return s;
 }
@@ -222,32 +223,32 @@ KernelSuite measure_kernels(double scale, int reps) {
       [&] { compute_feature_maps(design, pl3, grid3); });
   add("soft_maps_fwd_bwd_k2", [&] {
     SoftState s = make_soft_state(pl2, 2);
-    nn::backward(nn::sum(soft_feature_maps(design, grid, s.x, s.y, s.z).stacked));
+    nn::backward(nn::sum(soft_feature_maps(design, grid, s.x, s.y, s.above).stacked));
   });
   add("soft_maps_fwd_bwd_k3", [&] {
     SoftState s = make_soft_state(pl3, 3);
-    nn::backward(nn::sum(soft_feature_maps(design, grid3, s.x, s.y, s.p).stacked));
+    nn::backward(nn::sum(soft_feature_maps(design, grid3, s.x, s.y, s.above).stacked));
   });
   add("cutsize_fwd_bwd_k2", [&] {
     SoftState s = make_soft_state(pl2, 2);
-    nn::backward(cutsize_loss(s.z, edges));
+    nn::backward(cutsize_loss(s.above, edges));
   });
   add("cutsize_fwd_bwd_k3", [&] {
     SoftState s = make_soft_state(pl3, 3);
-    nn::backward(cutsize_loss(s.p, edges));
+    nn::backward(cutsize_loss(s.above, edges));
   });
   add("overlap_fwd_bwd_k2", [&] {
     SoftState s = make_soft_state(pl2, 2);
-    nn::backward(overlap_loss(design, s.x, s.y, s.z, pl2.outline, 8, 8, 0.8));
+    nn::backward(overlap_loss(design, s.x, s.y, s.above, pl2.outline, 8, 8, 0.8));
   });
   add("overlap_fwd_bwd_k3", [&] {
     SoftState s = make_soft_state(pl3, 3);
-    nn::backward(overlap_loss(design, s.x, s.y, s.p, pl3.outline, 8, 8, 0.8));
+    nn::backward(overlap_loss(design, s.x, s.y, s.above, pl3.outline, 8, 8, 0.8));
   });
   add("thermal_fwd_bwd_k3", [&] {
     SoftState s = make_soft_state(pl3, 3);
     nn::backward(
-        thermal_density_loss(design, s.x, s.y, s.p, power, pl3.outline, 8, 8));
+        thermal_density_loss(design, s.x, s.y, s.above, power, pl3.outline, 8, 8));
   });
   add("global_route_k2", [&] { global_route(design, pl2, grid); });
   add("global_route_k3", [&] { global_route(design, pl3, grid3); });

@@ -221,14 +221,16 @@ DesignKind parse_kind(const std::string& k) {
 }
 
 /// --tiers N: number of stacked dies. Anything that is not a plain integer
-/// >= 2 is rejected with kInvalidArgument (exit code 2, docs/cli.md).
+/// in [2, kMaxTiers] is rejected with kInvalidArgument (exit code 2,
+/// docs/cli.md); strtol saturates out-of-range input, so no value narrows.
 int parse_tiers(const Args& a) {
   const std::string s = a.get("--tiers", "2");
   char* end = nullptr;
   const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || v < 2)
+  if (end == s.c_str() || *end != '\0' || v < 2 || v > kMaxTiers)
     throw StatusError(Status::invalid_argument(
-        "--tiers must be an integer >= 2 (got '" + s + "')"));
+        "--tiers must be an integer in [2, " + std::to_string(kMaxTiers) +
+        "] (got '" + s + "')"));
   return static_cast<int>(v);
 }
 
